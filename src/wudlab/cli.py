@@ -20,7 +20,8 @@ from wudlab.density import alpha, xi_max_roots
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
 from wudlab.lab import SCENARIOS, export_report, run_distribution, run_scenario
 from wudlab.poly import admissible_primes, parse_poly
-from wudlab.sieve import ConvenientParams, MultiplicativeSpec, sieve_range
+from wudlab.sieve import DEFAULT_SEGMENT, ConvenientParams, MultiplicativeSpec, \
+    sieve_range
 from wudlab.characters import build_character_table, curve_point_count, z_chi
 from wudlab.tuples import count_v_double, count_v_prime, hypothesis_a_ratio, \
     additive_tuple_counts
@@ -37,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, help="INI config, one section per scenario")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint (sieve segments are independent)")
     sub = p.add_subparsers(dest="command")
 
     d = sub.add_parser("density", help="alpha(q), local nu, xi(q)")
@@ -54,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--delta", type=float, default=1.0)
     s.add_argument("--J", type=int, default=None)
-    s.add_argument("--segment-size", type=int, default=1 << 20)
+    s.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT)
     s.add_argument("--dump", type=Path, help="CSV of per-n records")
 
     c = sub.add_parser("chars", help="character sums Z_chi mod ell^e")
@@ -229,7 +228,7 @@ def _cmd_dist(args) -> None:
 
 
 _CONFIG_KEYS = {"scenario", "polynomial", "rule", "x", "q", "q1", "D", "delta",
-                "filter", "out", "format", "threads"}
+                "filter", "out", "format"}
 
 
 def _run_config(path: Path, args) -> None:

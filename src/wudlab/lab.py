@@ -26,6 +26,7 @@ from wudlab.sieve import (
     ConvenientParams,
     MultiplicativeSpec,
     SegmentData,
+    check_modulus,
     iter_segments,
 )
 
@@ -95,6 +96,7 @@ class _DistributionAccumulator:
                  filter_name: str = "none", scenario: str = "dist"):
         if filter_name not in FILTERS:
             raise InvalidConfigError(f"filter must be one of {FILTERS}")
+        check_modulus(q)
         self.spec = spec
         self.q = q
         self.params = params
@@ -177,7 +179,8 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
     for x in checkpoints:
         if x >= lo:
             for seg in iter_segments(spec, lo, x, q,
-                                     k_slots=_k_slots(spec, params, filter_names)):
+                                     k_slots=_k_slots(spec, params, filter_names),
+                                     additive=False):
                 for acc in accs:
                     acc.add(seg)
             lo = x + 1
@@ -276,10 +279,11 @@ class AdditiveReport:
 
 def run_additive(q: int, x: int, scenario: str = "additive") -> AdditiveReport:
     """Census of A(n) and A*(n) mod q; expected x/q in every class."""
+    check_modulus(q)
     spec = MultiplicativeSpec(F=IntPoly((-1, 1)))  # F is irrelevant here
     counts_a = np.zeros(q, dtype=np.int64)
     counts_s = np.zeros(q, dtype=np.int64)
-    for seg in iter_segments(spec, 1, x, q, k_slots=2):
+    for seg in iter_segments(spec, 1, x, q, k_slots=0):
         counts_a += np.bincount(seg.A % q, minlength=q)
         counts_s += np.bincount(seg.Astar % q, minlength=q)
     exp = x / q

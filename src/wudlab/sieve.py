@@ -3,11 +3,20 @@ statistics: k-th largest prime factors with multiplicity, the convenient
 classification, and the additive functions A(n) and A*(n).
 
 The engine never materializes f(n) as a full integer; it carries residues
-mod q and derived flags only. Each segment is processed with vectorized
-numpy passes over the primes below sqrt(hi): exponents are divided out,
-rule values f(p^e) mod q are multiplied in from a per-prime table, and the
-largest prime factors are maintained in a small stack of slot arrays
-(ascending prime order means each new prime factor pushes on top).
+mod q and derived flags only. A segment holds DEFAULT_SEGMENT integers, so
+that its working arrays stay in L2 cache. It is processed with numpy
+operations on strided views: for each prime p below sqrt(hi) and each k for
+which the segment holds a multiple of p^k, the view [s::p^k] over those
+multiples has one factor p divided out and pushed on top of the slot stack
+of largest prime factors (primes come in ascending order, so each new factor
+goes on top). The exponent count then picks f(p^e) mod q from a per-prime
+table, which is built once per run and extended when a segment first holds
+a higher power of p. What remains after the small primes is 1 or a single
+prime above sqrt(hi).
+
+A caller pays only for the fields it reads: fmod, coprime and a slot stack
+k_slots deep (0 allowed) are always computed; Omega, A and A* only with
+additive=True, the default.
 """
 
 from __future__ import annotations
@@ -24,7 +33,10 @@ from wudlab.poly import IntPoly
 
 SIEVE_GUARD = 10**8
 RECORD_GUARD = 10**6
-DEFAULT_SEGMENT = 1 << 20
+DEFAULT_SEGMENT = 1 << 16  # a segment's working arrays fit in L2
+# every table of size q is guarded; q <= 10^6 also keeps q^2 < 2^63 for the
+# int64 products of residues
+MODULUS_GUARD = 10**6
 
 RULES = (
     "completely-multiplicative",   # f(p^e) = F(p)^e
@@ -204,9 +216,9 @@ class SegmentData:
     q: int
     fmod: np.ndarray      # f(n) mod q
     coprime: np.ndarray   # gcd(f(n) mod q, q) == 1
-    Omega: np.ndarray
-    A: np.ndarray         # A(n), exact
-    Astar: np.ndarray     # A*(n), exact signed
+    Omega: np.ndarray | None   # None unless the additive fields were asked for
+    A: np.ndarray | None       # A(n), exact
+    Astar: np.ndarray | None   # A*(n), exact signed
     slots: np.ndarray     # (k_slots, hi-lo): largest prime factors, descending
 
     @property
@@ -229,59 +241,64 @@ class SegmentData:
         return ok
 
 
+def check_modulus(q: int) -> None:
+    """Reject q before any table of size q is built (see MODULUS_GUARD)."""
+    if q < 1:
+        raise InvalidConfigError("modulus must be >= 1")
+    if q > MODULUS_GUARD:
+        raise GuardExceededError(f"modulus guard {MODULUS_GUARD} exceeded by q={q}")
+
+
 def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
-                   k_slots: int, small_primes: np.ndarray,
+                   k_slots: int, additive: bool, small_primes: np.ndarray,
+                   tables: dict[int, np.ndarray],
                    coprime_lookup: np.ndarray) -> SegmentData:
     size = hi - lo
     rem = np.arange(lo, hi, dtype=np.int64)
     fmod = np.full(size, 1 % q, dtype=np.int64)
-    omega = np.zeros(size, dtype=np.int64)
-    a_sum = np.zeros(size, dtype=np.int64)
-    salt = np.zeros(size, dtype=np.int64)  # ascending-order alternating sum
+    extra = np.zeros(size, dtype=np.int8)  # exponent of the current p, minus 1
     slots = np.zeros((k_slots, size), dtype=np.int64)
+    omega = a_sum = astar = None
+    if additive:
+        omega = np.zeros(size, dtype=np.int64)
+        a_sum = np.zeros(size, dtype=np.int64)
+        astar = np.zeros(size, dtype=np.int64)
 
-    def push(idx: np.ndarray, e: np.ndarray | int, p: int | np.ndarray) -> None:
-        # new prime factors are >= all previous (ascending scan), so they
-        # stack on top of the slot arrays
-        if isinstance(e, int):
-            s = min(e, k_slots)
-            if s < k_slots:
-                slots[s:, idx] = slots[:-s, idx]
-            slots[:s, idx] = p
-            return
-        for ev in np.unique(e):
-            sel = idx[e == ev]
-            s = min(int(ev), k_slots)
-            if s < k_slots:
-                slots[s:, sel] = slots[:-s, sel]
-            slots[:s, sel] = p
+    def take(view, p) -> None:
+        # one more prime factor p, at least as large as every earlier one:
+        # it goes on top of the slot stack, and A*(pn) = p - A*(n)
+        if k_slots:
+            slots[1:, view] = slots[:-1, view]
+            slots[0, view] = p
+        if additive:
+            omega[view] += 1
+            a_sum[view] += p
+            astar[view] = p - astar[view]
 
-    for p in small_primes:
-        p = int(p)
+    for p in small_primes.tolist():
         if p * p >= hi:
             break
-        start = -(lo // -p) * p  # first multiple of p in [lo, hi)
-        if start >= hi:
+        k, pk = 0, p
+        while (start := -lo % pk) < size:  # views over the multiples of p^k
+            view = slice(start, None, pk)
+            rem[view] //= p
+            if k:
+                extra[view] += 1
+            take(view, p)
+            k, pk = k + 1, pk * p
+        if not k:
             continue
-        idx = np.arange(start - lo, size, p, dtype=np.int64)
-        r = rem[idx] // p
-        e = np.ones(idx.size, dtype=np.int64)
-        active = np.nonzero(r % p == 0)[0]
-        while active.size:
-            r[active] //= p
-            e[active] += 1
-            active = active[r[active] % p == 0]
-        rem[idx] = r
-        max_e = int(e.max())
-        tab = spec.prime_power_table(p, max_e, q)
-        fmod[idx] = fmod[idx] * tab[e] % q
-        a_sum[idx] += e * p
-        sign = 1 - 2 * (omega[idx] & 1)
-        salt[idx] += np.where((e & 1) == 1, sign * p, 0)
-        omega[idx] += e
-        push(idx, e, p)
+        tab = tables.get(p)
+        if tab is None or tab.size <= k:
+            tab = tables[p] = spec.prime_power_table(p, k, q)
+        view = slice(-lo % p, None, p)
+        if k == 1:
+            fmod[view] = fmod[view] * int(tab[1]) % q
+        else:
+            fmod[view] = fmod[view] * tab[1:][extra[view]] % q
+            extra[-lo % (p * p)::p * p] = 0
 
-    big = np.nonzero(rem > 1)[0]
+    big = np.flatnonzero(rem > 1)
     if big.size:
         pbig = rem[big]
         vals = np.zeros(big.size, dtype=np.int64)
@@ -289,38 +306,33 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
         for c in reversed(spec.F.coeffs):
             vals = (vals * vb + c) % q
         fmod[big] = fmod[big] * vals % q
-        a_sum[big] += pbig
-        salt[big] += (1 - 2 * (omega[big] & 1)) * pbig
-        omega[big] += 1
-        push(big, 1, pbig)
+        take(big, pbig)
 
-    if lo <= 1 < hi:
-        fmod[1 - lo] = 1 % q  # f(1) = 1
-    astar = np.where(omega % 2 == 1, salt, -salt)
-    coprime = coprime_lookup[fmod]
-    return SegmentData(lo=lo, hi=hi, q=q, fmod=fmod, coprime=coprime,
+    return SegmentData(lo=lo, hi=hi, q=q, fmod=fmod, coprime=coprime_lookup[fmod],
                        Omega=omega, A=a_sum, Astar=astar, slots=slots)
 
 
 def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
-                  k_slots: int = 4,
-                  segment_size: int = DEFAULT_SEGMENT) -> Iterator[SegmentData]:
+                  k_slots: int = 4, segment_size: int = DEFAULT_SEGMENT,
+                  additive: bool = True) -> Iterator[SegmentData]:
     """Process [lo, hi] (inclusive on both ends) in independent segments.
 
     Results are identical for any segmentation: each segment is a pure
-    function of its own range.
+    function of its own range. With additive=False the Omega, A and Astar
+    fields are None and are not computed.
     """
     if hi > SIEVE_GUARD:
         raise GuardExceededError(f"sieve guard {SIEVE_GUARD} exceeded by hi={hi}")
     if lo < 1:
         raise InvalidConfigError("sieve range starts at n >= 1")
-    if q < 1:
-        raise InvalidConfigError("modulus must be >= 1")
+    check_modulus(q)
     small = primes_upto(math.isqrt(hi))
+    tables: dict[int, np.ndarray] = {}  # p -> f(p^e) mod q, grown on demand
     coprime_lookup = np.gcd(np.arange(q, dtype=np.int64), q) == 1
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size, hi + 1)
-        yield _sieve_segment(spec, q, seg_lo, seg_hi, k_slots, small, coprime_lookup)
+        yield _sieve_segment(spec, q, seg_lo, seg_hi, k_slots, additive, small,
+                             tables, coprime_lookup)
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,21 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "wudlab-report.json").read_text())
         assert report[0]["type"] == "scenario"
 
+    def test_threads_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[additive]\nscenario = additive\nq = 4\nx = 1000\n"
+                       "threads = 2\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "threads" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--threads", "2", "scenario", "additive"])
+
+    def test_modulus_guard_exit_3(self, capsys):
+        # refused before any table of size q is built
+        assert main(["dist", "--poly", "phi", "--q", "1000000007", "--x", "100"]) == 3
+        assert main(["scenario", "additive", "--q", "1000000007", "--x", "100"]) == 3
+        assert capsys.readouterr().err.count("modulus guard") == 2
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.ini")]) == 2
 

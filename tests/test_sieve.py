@@ -12,6 +12,8 @@ from wudlab.errors import GuardExceededError, InvalidConfigError
 from wudlab.number_core import is_prime
 from wudlab.poly import IntPoly
 from wudlab.sieve import (
+    MODULUS_GUARD,
+    RULES,
     ConvenientParams,
     FactorizationRecord,
     MultiplicativeSpec,
@@ -203,6 +205,77 @@ class TestSegments:
         seg = next(iter_segments(spec, 1, 100, 5, k_slots=2))
         with pytest.raises(GuardExceededError):
             seg.P(3)
+
+    def test_modulus_guard(self, phi_poly):
+        # checked before the O(q) coprime table is built
+        spec = MultiplicativeSpec(F=phi_poly)
+        with pytest.raises(GuardExceededError, match="modulus guard"):
+            next(iter_segments(spec, 1, 100, MODULUS_GUARD + 1))
+        with pytest.raises(InvalidConfigError):
+            next(iter_segments(spec, 1, 100, 0))
+        assert MODULUS_GUARD**2 < 2**63  # products of two residues fit int64
+
+    def test_custom_table_grows_on_demand(self, phi_poly):
+        # the table for p = 2 is extended when a segment first holds 2^3,
+        # and the missing entry is named there, as the per-n path names it
+        spec = MultiplicativeSpec(F=phi_poly, rule="custom-table",
+                                  custom_table={(2, 2): 3})
+        segs = iter_segments(spec, 1, 10, 7, segment_size=4)
+        assert next(segs).fmod[3] == 3  # n = 4
+        with pytest.raises(InvalidConfigError, match=r"\(2, 3\)"):
+            next(segs)
+        with pytest.raises(InvalidConfigError, match=r"\(2, 3\)"):
+            f_mod(spec, 8, 7)
+
+
+# n near prime powers, so that ranges straddle the edges of p^k views
+_ANCHORS = sorted({p**k for p in (2, 3, 5, 7, 11, 13) for k in range(1, 13)
+                   if p**k <= 5000})
+
+
+@st.composite
+def _kernel_cases(draw):
+    degree = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=degree, max_size=degree))
+    coeffs.append(draw(st.integers(-5, 5).filter(bool)))
+    rule = draw(st.sampled_from(RULES))
+    lo = max(1, draw(st.sampled_from(_ANCHORS)) + draw(st.integers(-40, 40)))
+    hi = lo + draw(st.integers(0, 250))
+    table = None
+    if rule == "custom-table":
+        rnd = draw(st.randoms(use_true_random=False))
+        table = {(p, e): rnd.randrange(-10**6, 10**6)
+                 for p in range(2, math.isqrt(hi) + 1) if is_prime(p)
+                 for e in range(2, hi.bit_length())}
+    spec = MultiplicativeSpec(F=IntPoly(tuple(coeffs)), rule=rule, custom_table=table)
+    q = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 25, 27, 49, 121,  # 1, 2, prime powers
+                              6, 12, 35, 60, 105, 1001]))            # composites
+    k_slots = draw(st.integers(0, 5))
+    segment_size = draw(st.integers(1, 64) | st.sampled_from([97, 128, 256]))
+    return spec, lo, hi, q, k_slots, segment_size
+
+
+class TestKernelProperty:
+    @given(_kernel_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_n_reference(self, case):
+        spec, lo, hi, q, k_slots, segment_size = case
+        full = list(iter_segments(spec, lo, hi, q, k_slots=k_slots,
+                                  segment_size=segment_size))
+        lean = list(iter_segments(spec, lo, hi, q, k_slots=k_slots,
+                                  segment_size=segment_size, additive=False))
+        assert [s.lo for s in full] == list(range(lo, hi + 1, segment_size))
+        for seg, lean_seg in zip(full, lean):
+            assert lean_seg.Omega is lean_seg.A is lean_seg.Astar is None
+            for key in ("fmod", "coprime", "slots"):
+                assert np.array_equal(getattr(seg, key), getattr(lean_seg, key))
+            for i, n in enumerate(range(seg.lo, seg.hi)):
+                rec = FactorizationRecord.of(n)
+                assert (int(seg.fmod[i]), bool(seg.coprime[i])) == f_mod(spec, n, q)
+                assert int(seg.Omega[i]) == rec.Omega
+                assert (int(seg.A[i]), int(seg.Astar[i])) == rec.additive_sums()
+                assert [int(v) for v in seg.slots[:, i]] == [
+                    rec.P(k) if k <= rec.Omega else 0 for k in range(1, k_slots + 1)]
 
 
 class TestRecordStream:
