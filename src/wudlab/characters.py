@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
-from wudlab.density import _eval_mod_vec, alpha
+from wudlab.density import alpha
 from wudlab.number_core import UnitGroupView, factor, unit_group
 from wudlab.poly import IntPoly, is_admissible_prime
 
@@ -108,7 +108,7 @@ def z_chi(F: IntPoly, table: CharacterTable, t: int) -> ZChiReport:
     m, phi = table.modulus, table.phi
     v = np.arange(m, dtype=np.int64)
     units_v = table.unit_view.log_table[v] >= 0
-    fv = _eval_mod_vec(F, v[units_v], m)
+    fv = F.eval_mod(v[units_v], m)
     logs = table.unit_view.log_table[fv]
     logs = logs[logs >= 0]
     ks = (t % phi) * logs % phi
@@ -183,7 +183,7 @@ def curve_point_count(F: IntPoly, ell: int, w: int) -> CurveCountReport:
     if w % ell == 0:
         raise InvalidConfigError("w must be a unit mod ell (w = 0 is out of scope)")
     x = np.arange(ell, dtype=np.int64)
-    vals = _eval_mod_vec(F, x, ell)
+    vals = F.eval_mod(x, ell)
     c = np.bincount(vals, minlength=ell)
     count = 0
     w %= ell

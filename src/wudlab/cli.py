@@ -142,12 +142,8 @@ def _cmd_density(args) -> None:
 def _cmd_sieve(args) -> None:
     spec = MultiplicativeSpec(F=parse_poly(args.poly), rule=args.rule)
     params = ConvenientParams.from_x(args.x, delta=args.delta, J=args.J)
-    rows = []
-    for rec in sieve_range(spec, 1, args.x, args.q, params,
-                           segment_size=args.segment_size):
-        rows.append({"n": rec.n, "f_mod_q": rec.f_mod_q, "coprime": rec.coprime,
-                     "Omega": rec.Omega, "P1": rec.P1, "P2": rec.P2,
-                     "convenient": rec.convenient})
+    rows = list(sieve_range(spec, 1, args.x, args.q, params,
+                            segment_size=args.segment_size))
     if args.dump:
         with open(args.dump, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -227,8 +223,7 @@ def _cmd_dist(args) -> None:
         _emit(rep.rows(), args)
 
 
-_CONFIG_KEYS = {"scenario", "polynomial", "rule", "x", "q", "q1", "D", "delta",
-                "filter", "out", "format"}
+_CONFIG_KEYS = {"scenario", "polynomial", "rule", "x", "q", "q1", "D"}
 
 
 def _run_config(path: Path, args) -> None:

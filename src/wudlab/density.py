@@ -25,20 +25,12 @@ LIFT_GUARD = 10**9
 XI_GUARD = 10**6
 
 
-def _eval_mod_vec(F: IntPoly, v: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized Horner mod m. Safe in int64 for m < 2^31."""
-    acc = np.zeros_like(v)
-    for c in reversed(F.coeffs):
-        acc = (acc * v + c) % m
-    return acc
-
-
 def brute_unit_roots(F: IntPoly, m: int) -> list[int]:
     """Unit roots of F mod m by full residue scan (m <= BRUTE_ROOT_GUARD)."""
     if m > BRUTE_ROOT_GUARD:
         raise GuardExceededError(f"brute root scan guard exceeded: {m}")
     v = np.arange(m, dtype=np.int64)
-    vals = _eval_mod_vec(F, v, m)
+    vals = F.eval_mod(v, m)
     roots = np.nonzero(vals == 0)[0]
     return [int(a) for a in roots if math.gcd(int(a), m) == 1]
 
@@ -51,8 +43,7 @@ def count_unit_roots(F: IntPoly, ell: int, e: int = 1) -> tuple[int, list[int]]:
     """
     if ell**e > LIFT_GUARD:
         raise GuardExceededError(f"{ell}^{e} exceeds lift guard {LIFT_GUARD}")
-    deriv = IntPoly(tuple((i + 1) * c for i, c in enumerate(F.coeffs[1:])) or (0,)) \
-        if F.degree >= 1 else None
+    deriv = F.derivative
     roots = brute_unit_roots(F, ell)
     mod = ell
     for _ in range(e - 1):
@@ -126,7 +117,7 @@ def alpha_direct_count(F: IntPoly, q: int) -> Fraction:
         return Fraction(1)
     a = np.arange(q, dtype=np.int64)
     unit_a = np.gcd(a, q) == 1
-    vals = _eval_mod_vec(F, a, q)
+    vals = F.eval_mod(a, q)
     unit_f = np.gcd(vals, q) == 1
     count = int(np.count_nonzero(unit_a & unit_f))
     return Fraction(count, factor(q).phi)
@@ -150,7 +141,7 @@ def xi_max_roots(F: IntPoly, q: FactoredModulus | int) -> XiReport:
     m = q.q
     v = np.arange(m, dtype=np.int64)
     units = np.gcd(v, m) == 1
-    vals = _eval_mod_vec(F, v[units], m)
+    vals = F.eval_mod(v[units], m)
     counts = np.bincount(vals, minlength=m)
     xi = int(counts.max())
     # prefer a unit witness when one attains the maximum (the classes of
@@ -183,7 +174,7 @@ def coprime_value_prime_sum(F: IntPoly, q: int, x: float) -> CoprimePrimeSumRepo
     if q == 1:
         keep = ps
     else:
-        vals = _eval_mod_vec(F, ps % q, q)
+        vals = F.eval_mod(ps % q, q)
         keep = ps[np.gcd(vals, q) == 1]
     s = math.fsum(1.0 / p for p in keep)
     pred = float(prof.alpha) * math.log(math.log(x))

@@ -21,7 +21,7 @@ import numpy as np
 from wudlab.density import alpha
 from wudlab.errors import ConsistencyError, InvalidConfigError
 from wudlab.number_core import factor
-from wudlab.poly import IntPoly, _counterexample_i, _counterexample_ii, parse_poly
+from wudlab.poly import IntPoly, parse_poly
 from wudlab.sieve import (
     ConvenientParams,
     MultiplicativeSpec,
@@ -231,13 +231,9 @@ def growth_fit(spec: MultiplicativeSpec, q: int,
         raise InvalidConfigError(
             f"alpha({q}) = 0 (degenerate primes {prof.zero_primes}); no prediction"
         )
-    reports = run_distribution_multi(spec, q, xs, scenario="growth")
-    a = float(prof.alpha)
-    rows = []
-    for rep in reports:
-        pred = rep.x / math.log(rep.x) ** (1 - a) if rep.x > 1 else float(rep.x)
-        rows.append(GrowthRow(x=rep.x, n_coprime=rep.n_coprime, pred=pred,
-                                  log_ratio=math.log(rep.n_coprime / pred)))
+    rows = [GrowthRow(x=rep.x, n_coprime=rep.n_coprime, pred=rep.growth_pred,
+                      log_ratio=math.log(rep.n_coprime / rep.growth_pred))
+            for rep in run_distribution_multi(spec, q, xs, scenario="growth")]
     return GrowthFitReport(spec=spec.label(), q=q, alpha=prof.alpha,
                             rows=tuple(rows))
 
@@ -355,7 +351,7 @@ def _overrepresentation(report: DistributionReport, target: int) -> dict:
 def _scenario_counterexample_i(D: int = 2, x: int = 10**6, num_primes: int = 2,
                                **extra) -> ScenarioReport:
     _reject_extra(extra)
-    F = _counterexample_i(int(D)).require_separable()
+    F = parse_poly(f"counterexample-i D={int(D)}").require_separable()
     from wudlab.poly import admissible_primes
 
     primes, _ = admissible_primes(F, 1000)
@@ -370,7 +366,7 @@ def _scenario_counterexample_i(D: int = 2, x: int = 10**6, num_primes: int = 2,
 def _scenario_counterexample_ii(D: int = 2, q1: int = 5, x: int = 10**6,
                                 **extra) -> ScenarioReport:
     _reject_extra(extra)
-    F = _counterexample_ii(int(D)).require_separable()
+    F = parse_poly(f"counterexample-ii D={int(D)}").require_separable()
     q = int(q1) ** int(D)
     spec = MultiplicativeSpec(F=F, rule="completely-multiplicative")
     rep = run_distribution(spec, q, int(x), scenario="counterexample-ii")

@@ -127,14 +127,26 @@ class IntPoly:
             acc = acc * v + c
         return acc
 
-    def eval_mod(self, v: int, m: int) -> int:
-        """Horner evaluation of F(v) mod m, result in [0, m)."""
+    @cached_property
+    def derivative(self) -> "IntPoly | None":
+        """F'(T), or None when F is constant."""
+        if self.degree < 1:
+            return None
+        return IntPoly(tuple(_poly_deriv(list(self.coeffs))))
+
+    def eval_mod(self, v, m: int):
+        """Horner evaluation of F(v) mod m, result in [0, m).
+
+        v is a Python int (any size), or an int64 array of residues in
+        [0, m). Each coefficient is reduced mod m before it enters, so an
+        array intermediate stays below m^2 + m and never wraps, whatever
+        the size of the coefficients.
+        """
         if m < 1:
             raise InvalidConfigError(f"modulus must be >= 1, got {m}")
         acc = 0
-        v %= m
         for c in reversed(self.coeffs):
-            acc = (acc * v + c) % m
+            acc = (acc * v + c % m) % m
         return acc
 
     def __str__(self) -> str:
@@ -148,16 +160,6 @@ class IntPoly:
                 t = "T" if i == 1 else f"T^{i}"
                 terms.append(t if c == 1 else (f"-{t}" if c == -1 else f"{c}*{t}"))
         return " + ".join(reversed(terms)).replace("+ -", "- ") or "0"
-
-
-def eval_mod(F: IntPoly, v: int, m: int) -> int:
-    return F.eval_mod(v, m)
-
-
-def discriminant_delta(F: IntPoly) -> int:
-    if F.degree < 1:
-        raise InvalidConfigError("discriminant of a constant is not defined here")
-    return F.delta
 
 
 def theoretical_admissibility_constant(F: IntPoly) -> int:
@@ -250,7 +252,3 @@ def _parse_degree(rest: str) -> int:
         except ValueError:
             pass
     raise InvalidConfigError(f"expected 'D=<int>' after preset, got {rest!r}")
-
-
-PHI_POLY = IntPoly((-1, 1))     # f(p) = p - 1, Euler phi at primes
-SIGMA_POLY = IntPoly((1, 1))    # f(p) = p + 1, sigma at primes

@@ -176,10 +176,6 @@ class FactorizationRecord:
                 smooth *= p**e
         return rough, smooth
 
-    def L(self, y: float) -> float:
-        """max(y, P(n)) -- the lower cutoff for primes appended to n."""
-        return max(y, self.P(1))
-
     def is_convenient(self, params: ConvenientParams) -> bool:
         if self.n > params.x:
             return False
@@ -301,11 +297,7 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
     big = np.flatnonzero(rem > 1)
     if big.size:
         pbig = rem[big]
-        vals = np.zeros(big.size, dtype=np.int64)
-        vb = pbig % q
-        for c in reversed(spec.F.coeffs):
-            vals = (vals * vb + c) % q
-        fmod[big] = fmod[big] * vals % q
+        fmod[big] = fmod[big] * spec.F.eval_mod(pbig % q, q) % q
         take(big, pbig)
 
     return SegmentData(lo=lo, hi=hi, q=q, fmod=fmod, coprime=coprime_lookup[fmod],
@@ -335,23 +327,11 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
                              tables, coprime_lookup)
 
 
-@dataclass(frozen=True)
-class SieveRecord:
-    n: int
-    f_mod_q: int
-    coprime: bool
-    Omega: int
-    P1: int
-    P2: int
-    A_mod_q: int
-    Astar_mod_q: int
-    convenient: bool
-
-
 def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
                 params: ConvenientParams,
-                segment_size: int = DEFAULT_SEGMENT) -> Iterator[SieveRecord]:
-    """Per-n records for n in [lo, hi]; for desk-scale record dumps."""
+                segment_size: int = DEFAULT_SEGMENT) -> Iterator[dict]:
+    """Per-n rows (n, f_mod_q, coprime, Omega, P1, P2, convenient) for n in
+    [lo, hi]; for desk-scale record dumps."""
     if hi - lo + 1 > RECORD_GUARD:
         raise GuardExceededError(f"record streaming capped at {RECORD_GUARD} values")
     k_slots = max(params.J + 1, 2)
@@ -360,14 +340,6 @@ def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
         conv = seg.convenient(params)
         p1, p2 = seg.P(1), seg.P(2)
         for i in range(seg.hi - seg.lo):
-            yield SieveRecord(
-                n=seg.lo + i,
-                f_mod_q=int(seg.fmod[i]),
-                coprime=bool(seg.coprime[i]),
-                Omega=int(seg.Omega[i]),
-                P1=int(p1[i]),
-                P2=int(p2[i]),
-                A_mod_q=int(seg.A[i] % q),
-                Astar_mod_q=int(seg.Astar[i] % q),
-                convenient=bool(conv[i]),
-            )
+            yield {"n": seg.lo + i, "f_mod_q": int(seg.fmod[i]),
+                   "coprime": bool(seg.coprime[i]), "Omega": int(seg.Omega[i]),
+                   "P1": int(p1[i]), "P2": int(p2[i]), "convenient": bool(conv[i])}

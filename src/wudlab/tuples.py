@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wudlab.characters import ROUND_TOL, build_character_table
-from wudlab.density import _eval_mod_vec, alpha
+from wudlab.density import alpha
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
 from wudlab.number_core import FactoredModulus, factor
 from wudlab.poly import IntPoly
@@ -31,7 +31,7 @@ def _good_values(F: IntPoly, m: int) -> np.ndarray:
     """F(v) mod m over unit v with F(v) also a unit."""
     v = np.arange(m, dtype=np.int64)
     units = np.gcd(v, m) == 1
-    vals = _eval_mod_vec(F, v[units], m)
+    vals = F.eval_mod(v[units], m)
     return vals[np.gcd(vals, m) == 1]
 
 
@@ -100,7 +100,7 @@ def _v_double_char_prime_power(F: IntPoly, ell: int, e: int, J: int) -> np.ndarr
     table = build_character_table(ell, e)
     m, phi = table.modulus, table.phi
     logs = table.unit_view.log_table
-    fv = _eval_mod_vec(F, np.arange(m, dtype=np.int64)[logs >= 0], m)
+    fv = F.eval_mod(np.arange(m, dtype=np.int64)[logs >= 0], m)
     flogs = logs[fv]
     flogs = flogs[flogs >= 0]
     c = np.bincount(flogs, minlength=phi).astype(np.float64)

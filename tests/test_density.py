@@ -94,7 +94,8 @@ class TestAlpha:
         assert alpha_direct_count(IntPoly((-1, 1)), 1) == 1
 
     @pytest.mark.parametrize("F", [IntPoly((-1, 1)), IntPoly((1, 1)),
-                                   IntPoly((1, 0, 1))])
+                                   IntPoly((1, 0, 1)),
+                                   IntPoly((2**63 - 10, 1)), IntPoly((2**64 + 1, 1))])
     def test_product_equals_direct_count(self, F):
         for q in range(1, 400):
             assert alpha(F, q).alpha == alpha_direct_count(F, q)
@@ -123,6 +124,11 @@ class TestXi:
         rep = xi_max_roots(_counterexample_i(2), 35)
         assert rep.xi <= 2**2
         assert rep.squarefree_bound_ok
+
+    @pytest.mark.parametrize("c0", [2**63 - 10, 2**64 + 1])
+    def test_linear_with_huge_constant(self, c0):
+        # a linear F is a bijection mod q, however large its coefficients
+        assert xi_max_roots(IntPoly((c0, 1)), 35).xi == 1
 
     def test_non_squarefree_flag_none(self):
         assert xi_max_roots(IntPoly((-1, 1)), 25).squarefree_bound_ok is None

@@ -224,12 +224,14 @@ class TestCli:
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
 
-    def test_config_unknown_key_exit_2(self, tmp_path, capsys):
+    # a key the config runner never reads is rejected, not silently ignored
+    @pytest.mark.parametrize("key", ["frobnicate", "filter", "format", "delta", "out"])
+    def test_config_unknown_key_exit_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[additive]\nscenario = additive\nq = 4\nx = 1000\n"
-                       "frobnicate = yes\n")
+                       f"{key} = yes\n")
         assert main(["--config", str(cfg)]) == 2
-        assert "frobnicate" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_config_runs_scenarios(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -13,8 +14,6 @@ from wudlab.poly import (
     _counterexample_i,
     _counterexample_ii,
     admissible_primes,
-    discriminant_delta,
-    eval_mod,
     is_admissible_prime,
     parse_poly,
     theoretical_admissibility_constant,
@@ -29,16 +28,16 @@ def _sympy_poly(coeffs):
 
 class TestEval:
     def test_quad_root_mod_5(self):
-        assert eval_mod(IntPoly((1, 0, 1)), 3, 5) == 0
+        assert IntPoly((1, 0, 1)).eval_mod(3, 5) == 0
 
     @pytest.mark.parametrize("q", [2, 5, 7, 35, 97])
     def test_linear_root(self, q):
-        assert eval_mod(IntPoly((-1, 1)), 1, q) == 0
+        assert IntPoly((-1, 1)).eval_mod(1, q) == 0
 
     def test_shifted_product_at_root_shift(self):
         F = _counterexample_i(2)  # (T-2)(T-4) + 2
         assert F.coeffs == (10, -6, 1)
-        assert eval_mod(F, 2, 35) == 2
+        assert F.eval_mod(2, 35) == 2
 
     def test_eval_int_matches_eval_mod(self):
         F = IntPoly((3, -2, 0, 5))
@@ -63,23 +62,44 @@ class TestEval:
         assert F.eval_mod(v, m1 * m2) % m1 == F.eval_mod(v, m1)
         assert F.eval_mod(v, m1 * m2) % m2 == F.eval_mod(v, m2)
 
+    @given(
+        st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=6),
+        st.integers(1, 10**6),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=20),
+    )
+    @settings(max_examples=300)
+    def test_residue_array_matches_exact(self, coeffs, m, vs):
+        # huge coefficients must not wrap the int64 Horner intermediate
+        if coeffs[-1] == 0:
+            coeffs[-1] = 1
+        F = IntPoly(tuple(coeffs))
+        arr = np.array([v % m for v in vs], dtype=np.int64)
+        expected = [F.eval_int(int(v)) % m for v in arr]
+        assert F.eval_mod(arr, m).tolist() == expected
+        assert [F.eval_mod(int(v), m) for v in arr] == expected
+
+    def test_derivative(self):
+        assert IntPoly((1, 0, 1)).derivative.coeffs == (0, 2)
+        assert IntPoly((5, -3, 0, 2)).derivative.coeffs == (-3, 0, 6)
+        assert IntPoly((3,)).derivative is None
+
 
 class TestDiscriminant:
     def test_quad(self):
         # disc of T * (T^2 + 1) = T^3 + T
-        assert discriminant_delta(IntPoly((1, 0, 1))) == -4
+        assert IntPoly((1, 0, 1)).delta == -4
 
     def test_linear_with_constant(self):
         # disc of T(T - 1) = T^2 - T is b^2 - 4ac = 1
-        assert discriminant_delta(IntPoly((-1, 1))) == 1
+        assert IntPoly((-1, 1)).delta == 1
 
     def test_zero_constant_term(self):
         # F(0) = 0, so delta = disc(F) directly; degree-1 disc is 1
-        assert discriminant_delta(IntPoly((0, 1))) == 1
+        assert IntPoly((0, 1)).delta == 1
 
     def test_constant_rejected(self):
         with pytest.raises(InvalidConfigError):
-            discriminant_delta(IntPoly((3,)))
+            IntPoly((3,)).require_separable()
 
     @given(st.lists(st.integers(-20, 20), min_size=3, max_size=6))
     @settings(max_examples=150)

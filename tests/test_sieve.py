@@ -236,7 +236,9 @@ _ANCHORS = sorted({p**k for p in (2, 3, 5, 7, 11, 13) for k in range(1, 13)
 @st.composite
 def _kernel_cases(draw):
     degree = draw(st.integers(1, 4))
-    coeffs = draw(st.lists(st.integers(-30, 30), min_size=degree, max_size=degree))
+    # some coefficients far beyond int64, which must not wrap the evaluation
+    coeffs = draw(st.lists(st.integers(-30, 30) | st.integers(-2**70, 2**70),
+                           min_size=degree, max_size=degree))
     coeffs.append(draw(st.integers(-5, 5).filter(bool)))
     rule = draw(st.sampled_from(RULES))
     lo = max(1, draw(st.sampled_from(_ANCHORS)) + draw(st.integers(-40, 40)))
@@ -282,13 +284,13 @@ class TestRecordStream:
     def test_records(self, phi_poly):
         spec = MultiplicativeSpec(F=phi_poly)
         params = ConvenientParams(x=1000.0, delta=1.0, J=1, y=10.0, z=5.0)
-        recs = {r.n: r for r in sieve_range(spec, 1, 1000, 5, params)}
+        recs = {r["n"]: r for r in sieve_range(spec, 1, 1000, 5, params)}
         assert len(recs) == 1000
         r924 = recs[924]
-        assert (r924.P1, r924.P2) == (11, 7)
-        assert r924.convenient  # P_1 = 11 > y with P_1 != P_2
-        assert not recs[49].convenient  # P_1 = P_2 = 7 repeated
-        assert recs[13].f_mod_q == 12 % 5
+        assert (r924["P1"], r924["P2"]) == (11, 7)
+        assert r924["convenient"]  # P_1 = 11 > y with P_1 != P_2
+        assert not recs[49]["convenient"]  # P_1 = P_2 = 7 repeated
+        assert recs[13]["f_mod_q"] == 12 % 5
 
     def test_record_guard(self, phi_poly):
         spec = MultiplicativeSpec(F=phi_poly)
