@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
+from wudlab.errors import ConsistencyError, InvalidConfigError
 from wudlab.density import alpha
 from wudlab.number_core import UnitGroupView, factor, unit_group
 from wudlab.poly import IntPoly, is_admissible_prime
@@ -78,11 +78,32 @@ class CharacterTable:
 
 
 @lru_cache(maxsize=128)
-def build_character_table(ell: int, e: int, guard: int = TABLE_GUARD) -> CharacterTable:
+def build_character_table(ell: int, e: int) -> CharacterTable:
     if ell == 2:
         raise InvalidConfigError("characters mod powers of 2 are out of scope")
-    view = unit_group(ell, e, guard=guard)
+    view = unit_group(ell, e, guard=TABLE_GUARD)
     return CharacterTable(ell=ell, e=e, modulus=ell**e, unit_view=view)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=32)
+def _unit_value_logs(F: IntPoly, ell: int, e: int) -> np.ndarray:
+    """Discrete logs of the unit values F(v), over unit v mod ell^e in
+    increasing order (v with F(v) a non-unit are skipped)."""
+    m = ell**e
+    log_table = build_character_table(ell, e).unit_view.log_table
+    logs = log_table[F.eval_mod(np.arange(m, dtype=np.int64)[log_table >= 0], m)]
+    return _read_only(logs[logs >= 0])
+
+
+@lru_cache(maxsize=32)
+def _roots_of_unity(phi: int) -> np.ndarray:
+    """e(k/phi) for k = 0..phi-1."""
+    return _read_only(np.exp(2j * np.pi * np.arange(phi) / phi))
 
 
 @dataclass(frozen=True)
@@ -104,15 +125,14 @@ def _weil_d(F: IntPoly, ell: int) -> int:
 
 
 def z_chi(F: IntPoly, table: CharacterTable, t: int) -> ZChiReport:
-    """Z_chi = sum over v mod ell^e of chi_0(v) chi_t(F(v)), exact sum."""
-    m, phi = table.modulus, table.phi
-    v = np.arange(m, dtype=np.int64)
-    units_v = table.unit_view.log_table[v] >= 0
-    fv = F.eval_mod(v[units_v], m)
-    logs = table.unit_view.log_table[fv]
-    logs = logs[logs >= 0]
-    ks = (t % phi) * logs % phi
-    z = complex(np.exp(2j * np.pi * ks / phi).sum()) if ks.size else 0j
+    """Z_chi = sum over v mod ell^e of chi_0(v) chi_t(F(v)), exact sum.
+
+    The unit-value logs and the roots of unity depend only on (F, ell^e)
+    and are cached, so a sweep over all t pays for them once.
+    """
+    phi = table.phi
+    ks = (t % phi) * _unit_value_logs(F, table.ell, table.e) % phi
+    z = complex(_roots_of_unity(phi)[ks].sum())
     e0 = table.conductor_exponent(t)
     d = _weil_d(F, table.ell)
     bound = (d - 1) * table.ell ** (table.e * (1 - 1 / d))
@@ -173,6 +193,12 @@ class CurveCountReport:
     within_bound: bool
 
 
+@lru_cache(maxsize=32)
+def _inverses(ell: int) -> np.ndarray:
+    """u^{-1} mod ell for u = 1..ell-1."""
+    return _read_only(np.array([pow(u, -1, ell) for u in range(1, ell)], dtype=np.int64))
+
+
 def curve_point_count(F: IntPoly, ell: int, w: int) -> CurveCountReport:
     """#{(x, y) in F_ell^2 : F(x) F(y) = w} for unit w, by value bucketing.
 
@@ -185,10 +211,9 @@ def curve_point_count(F: IntPoly, ell: int, w: int) -> CurveCountReport:
     x = np.arange(ell, dtype=np.int64)
     vals = F.eval_mod(x, ell)
     c = np.bincount(vals, minlength=ell)
-    count = 0
     w %= ell
-    for u in range(1, ell):
-        count += int(c[u]) * int(c[w * pow(u, -1, ell) % ell])
+    # c(u) c(w/u) over u = 1..ell-1; the sum is at most ell^2, exact in int64
+    count = int(np.dot(c[1:], c[w * _inverses(ell) % ell]))
     D = F.degree
     bound = ell + 1 + ((2 * D - 1) * (2 * D - 2) * math.isqrt(4 * ell)) // 2
     return CurveCountReport(ell=ell, w=w, count=count,

@@ -13,17 +13,16 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from wudlab.density import alpha, xi_max_roots
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
 from wudlab.lab import SCENARIOS, export_report, run_distribution, run_scenario
-from wudlab.poly import admissible_primes, parse_poly
+from wudlab.poly import parse_poly
 from wudlab.sieve import DEFAULT_SEGMENT, ConvenientParams, MultiplicativeSpec, \
     sieve_range
 from wudlab.characters import build_character_table, curve_point_count, z_chi
-from wudlab.tuples import count_v_double, count_v_prime, hypothesis_a_ratio, \
+from wudlab.tuples import count_v_double, hypothesis_a_ratio, \
     additive_tuple_counts
 
 EXIT_OK = 0

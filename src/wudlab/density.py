@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +64,7 @@ def count_unit_roots(F: IntPoly, ell: int, e: int = 1) -> tuple[int, list[int]]:
                         nxt.append(cand)
         mod = new_mod
         roots = sorted(nxt)
-    return len(roots), sorted(roots)
+    return len(roots), roots
 
 
 @dataclass(frozen=True)
@@ -93,22 +94,24 @@ class DensityProfile:
         return tuple(ld.ell for ld in self.locals if ld.alpha_local == 0)
 
 
+@lru_cache(maxsize=1 << 14)
+def _local_density(F: IntPoly, ell: int, e: int) -> LocalDensity:
+    """The factor of alpha at ell^e; it depends on q only through (ell, e)."""
+    nu, _ = count_unit_roots(F, ell, 1)
+    nu_lift = count_unit_roots(F, ell, e)[0] if 1 < e and ell**e <= LIFT_GUARD else nu
+    return LocalDensity(ell=ell, e=e, nu=nu, nu_lifted=nu_lift,
+                        alpha_local=Fraction(ell - 1 - nu, ell - 1),
+                        admissible=is_admissible_prime(F, ell))
+
+
 def alpha(F: IntPoly, q: FactoredModulus | int) -> DensityProfile:
     """Exact alpha(q) with per-prime breakdown."""
     if isinstance(q, int):
         q = factor(q)
-    locs = []
-    a = Fraction(1)
-    for ell, e in q.factors:
-        nu, _ = count_unit_roots(F, ell, 1)
-        nu_lift, _ = count_unit_roots(F, ell, e) if ell**e <= LIFT_GUARD else (nu, [])
-        local = Fraction(ell - 1 - nu, ell - 1)
-        locs.append(LocalDensity(ell=ell, e=e, nu=nu, nu_lifted=nu_lift,
-                                 alpha_local=local,
-                                 admissible=is_admissible_prime(F, ell)))
-        a *= local
+    locs = tuple(_local_density(F, ell, e) for ell, e in q.factors)
+    a = math.prod((local.alpha_local for local in locs), start=Fraction(1))
     lb = (math.log(math.log(3 * q.q))) ** (-F.degree) if q.q >= 1 else 1.0
-    return DensityProfile(q=q, alpha=a, locals=tuple(locs), lower_bound_ref=lb)
+    return DensityProfile(q=q, alpha=a, locals=locs, lower_bound_ref=lb)
 
 
 def alpha_direct_count(F: IntPoly, q: int) -> Fraction:

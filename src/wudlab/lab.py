@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,7 +20,6 @@ import numpy as np
 
 from wudlab.density import alpha
 from wudlab.errors import ConsistencyError, InvalidConfigError
-from wudlab.number_core import factor
 from wudlab.poly import IntPoly, parse_poly
 from wudlab.sieve import (
     ConvenientParams,

@@ -8,8 +8,7 @@ here is exact integer (Sylvester resultants, no floating point).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from wudlab.errors import InvalidConfigError

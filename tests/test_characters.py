@@ -3,6 +3,7 @@ and the F(x)F(y) = w curve counts."""
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from wudlab.characters import (
     z_chi_principal_exact,
 )
 from wudlab.errors import GuardExceededError, InvalidConfigError
-from wudlab.number_core import factor
+from wudlab.number_core import factor, primes_upto
 from wudlab.poly import IntPoly
 
 SMALL_TABLES = [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (7, 2)]
@@ -129,6 +130,39 @@ class TestZChi:
                 (rep.d - 1) * 5 ** (2 - max(e0, 1) / rep.d))
 
 
+class TestZChiBitIdentity:
+    TABLES = [(3, 4), (5, 3), (7, 2), (211, 1)]
+    PANEL = [IntPoly((-1, 1)), IntPoly((1, 1)), IntPoly((1, 0, 1)),
+             IntPoly((3, -2, 0, 5, 1)), IntPoly((0, 1)), IntPoly((2**64 + 1, 1))]
+
+    @staticmethod
+    def _direct(F, table, t):
+        """The uncached sum: evaluate F on every unit, one exp per term."""
+        m, phi = table.modulus, table.phi
+        log_table = table.unit_view.log_table
+        logs = log_table[F.eval_mod(np.arange(m, dtype=np.int64)[log_table >= 0], m)]
+        ks = (t % phi) * logs[logs >= 0] % phi
+        return complex(np.exp(2j * np.pi * ks / phi).sum())
+
+    def test_every_character_bit_for_bit(self):
+        # t runs outermost, so consecutive calls alternate F on one table
+        # and one F over several tables: a cache keyed on too little of
+        # (F, ell, e) returns another sum and fails the equality
+        tables = [build_character_table(ell, e) for ell, e in self.TABLES]
+        principal = {}
+        for t in range(max(table.phi for table in tables)):
+            for table in tables:
+                if t >= table.phi:
+                    continue
+                for F in self.PANEL:
+                    got = z_chi(F, table, t).value
+                    assert got == self._direct(F, table, t), (F, table.modulus, t)
+                    if t == 0:
+                        principal.setdefault(table.modulus, set()).add(got)
+        # the panel's sums differ, so one cache entry shared by two F fails
+        assert all(len(sums) > 1 for sums in principal.values())
+
+
 class TestRamanujan:
     def test_exact_divisibility_hit(self):
         assert ramanujan_sum(3, 2, 3) == -3
@@ -172,14 +206,10 @@ class TestCurveCount:
         assert rep.count <= 30
 
     def test_matches_pair_enumeration(self, poly_panel):
-        for F in poly_panel:
-            for ell in (5, 7, 11, 13):
+        for F in poly_panel + [IntPoly((3, -2, 0, 5, 1))]:
+            for ell in primes_upto(31):
+                ell = int(ell)
+                vals = [F.eval_mod(x, ell) for x in range(ell)]
+                pairs = Counter(fx * fy % ell for fx in vals for fy in vals)
                 for w in range(1, ell):
-                    rep = curve_point_count(F, ell, w)
-                    brute = sum(
-                        1
-                        for x in range(ell)
-                        for y in range(ell)
-                        if F.eval_mod(x, ell) * F.eval_mod(y, ell) % ell == w
-                    )
-                    assert rep.count == brute
+                    assert curve_point_count(F, ell, w).count == pairs[w], (F, ell, w)

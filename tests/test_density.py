@@ -16,7 +16,7 @@ from wudlab.density import (
     xi_max_roots,
 )
 from wudlab.errors import GuardExceededError, InvalidConfigError
-from wudlab.number_core import primes_upto
+from wudlab.number_core import factor, primes_upto
 from wudlab.poly import IntPoly, _counterexample_i, is_admissible_prime
 
 
@@ -99,6 +99,21 @@ class TestAlpha:
     def test_product_equals_direct_count(self, F):
         for q in range(1, 400):
             assert alpha(F, q).alpha == alpha_direct_count(F, q)
+
+    @given(coeffs=st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+           lead=st.integers(-6, 6).filter(bool),
+           qs=st.lists(st.integers(0, 2000).map(lambda k: 2 * k + 1), min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_factors_match_direct_count(self, coeffs, lead, qs):
+        # the local factors are cached per (F, ell, e), so those computed
+        # for one q are reused by every later q that shares a prime power
+        F = IntPoly((*coeffs, lead))
+        for q in qs + [q * 3 for q in qs]:
+            prof = alpha(F, q)
+            assert prof.alpha == alpha_direct_count(F, q), (F, q)
+            assert [(ld.ell, ld.e) for ld in prof.locals] == list(factor(q).factors)
+            for ld in prof.locals:
+                assert ld.nu_lifted == len(brute_unit_roots(F, ld.ell**ld.e)), (F, q, ld)
 
     def test_lower_bound_ref_shape(self):
         prof = alpha(IntPoly((1, 0, 1)), 35)

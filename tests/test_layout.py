@@ -1,8 +1,9 @@
-"""Module boundaries: no module imports a private name from another.
+"""Module boundaries and import hygiene.
 
-A private name shared across modules is a decision that more than one
-module has to know; the owner should expose it as a public method or
-function instead.
+No module imports a private name from another: a private name shared
+across modules is a decision that more than one module has to know; the
+owner should expose it as a public method or function instead. And no
+module imports a name it never reads.
 """
 
 import ast
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wudlab"
+MODULES = sorted(SRC.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_private_cross_module_imports(path):
     bad = [
         f"line {node.lineno}: from {node.module} import {alias.name}"
@@ -24,3 +26,32 @@ def test_no_private_cross_module_imports(path):
         if alias.name.startswith("_")
     ]
     assert not bad, f"{path.name} imports private names: {bad}"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unread_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    if path.name == "__init__.py":
+        read |= _exported(tree)
+    unread = [f"line {line}: {name}" for name, line in sorted(imported.items())
+              if name not in read]
+    assert not unread, f"{path.name} imports names it never reads: {unread}"
