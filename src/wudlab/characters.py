@@ -3,8 +3,7 @@ over unit polynomial values, Ramanujan sums, and point counts on the
 affine curve F(x)F(y) = w.
 
 Character values are held as exponents k mod phi(ell^e); complex numbers
-appear only when a sum is actually formed, and integer outputs are
-recovered by rounding with an asserted residual.
+appear only when a sum is actually formed.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ import numpy as np
 
 from wudlab.errors import ConsistencyError, InvalidConfigError
 from wudlab.density import alpha
-from wudlab.number_core import UnitGroupView, factor, unit_group
+from wudlab.number_core import UnitGroupView, factor, is_prime, unit_group
 from wudlab.poly import IntPoly, is_admissible_prime
 
 TABLE_GUARD = 10**6
-ROUND_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _unit_value_logs(F: IntPoly, ell: int, e: int) -> np.ndarray:
+def unit_value_logs(F: IntPoly, ell: int, e: int) -> np.ndarray:
     """Discrete logs of the unit values F(v), over unit v mod ell^e in
     increasing order (v with F(v) a non-unit are skipped)."""
     m = ell**e
@@ -131,7 +129,7 @@ def z_chi(F: IntPoly, table: CharacterTable, t: int) -> ZChiReport:
     and are cached, so a sweep over all t pays for them once.
     """
     phi = table.phi
-    ks = (t % phi) * _unit_value_logs(F, table.ell, table.e) % phi
+    ks = (t % phi) * unit_value_logs(F, table.ell, table.e) % phi
     z = complex(_roots_of_unity(phi)[ks].sum())
     e0 = table.conductor_exponent(t)
     d = _weil_d(F, table.ell)
@@ -171,19 +169,6 @@ def ramanujan_sum(ell: int, e: int, r: int) -> int:
     return 0
 
 
-def ramanujan_sum_direct(ell: int, e: int) -> np.ndarray:
-    """Direct summation oracle: S_ell(r) for all r in [0, ell^e), via the
-    DFT of the unit indicator (this *is* the defining sum, evaluated in
-    one FFT pass). Index 0 holds phi(ell^e)."""
-    m = ell**e
-    ind = (np.gcd(np.arange(m), m) == 1).astype(np.float64)
-    vals = np.fft.fft(ind).real  # real by conjugate symmetry of the unit set
-    out = np.rint(vals).astype(np.int64)
-    if np.max(np.abs(vals - out)) > ROUND_TOL:
-        raise ConsistencyError("FFT Ramanujan sums failed the rounding residual")
-    return out
-
-
 @dataclass(frozen=True)
 class CurveCountReport:
     ell: int
@@ -195,7 +180,9 @@ class CurveCountReport:
 
 @lru_cache(maxsize=32)
 def _inverses(ell: int) -> np.ndarray:
-    """u^{-1} mod ell for u = 1..ell-1."""
+    """u^{-1} mod ell for u = 1..ell-1 (ell must be prime)."""
+    if not is_prime(ell):
+        raise InvalidConfigError(f"curve counts need a prime ell, got {ell}")
     return _read_only(np.array([pow(u, -1, ell) for u in range(1, ell)], dtype=np.int64))
 
 

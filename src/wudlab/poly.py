@@ -137,16 +137,25 @@ class IntPoly:
         """Horner evaluation of F(v) mod m, result in [0, m).
 
         v is a Python int (any size), or an int64 array of residues in
-        [0, m). Each coefficient is reduced mod m before it enters, so an
-        array intermediate stays below m^2 + m and never wraps, whatever
-        the size of the coefficients.
+        [0, m) with m^2 < 2^63. Each coefficient is reduced mod m before it
+        enters. An array is reduced mod m only when an exact bound on the
+        next intermediate reaches 2^63, and once at the end, so it never
+        wraps, whatever the size of the coefficients.
         """
         if m < 1:
             raise InvalidConfigError(f"modulus must be >= 1, got {m}")
         acc = 0
+        if isinstance(v, int):
+            for c in reversed(self.coeffs):
+                acc = (acc * v + c % m) % m
+            return acc
+        bound = 0  # every entry of acc is in [0, bound]
         for c in reversed(self.coeffs):
-            acc = (acc * v + c % m) % m
-        return acc
+            c %= m
+            if bound * (m - 1) + c >= 2**63:
+                acc, bound = acc % m, m - 1
+            acc, bound = acc * v + c, bound * (m - 1) + c
+        return acc % m
 
     def __str__(self) -> str:
         terms = []

@@ -3,9 +3,10 @@ V''_q(w) (product of F(v_i) hitting a unit target w), the mixing ratio
 phi(q) V''/V', and the additive J-tuple counts with their Ramanujan-sum
 closed form.
 
-Multiplicative counts require odd q (the moduli of interest are odd at
-every prime); the additive counts accept every modulus, including even
-ones, where an exact parity factor appears.
+Every count is an exact Python int. Multiplicative counts require odd q
+(the moduli of interest are odd at every prime); the additive counts
+accept every modulus, including even ones, where an exact parity factor
+appears.
 """
 
 from __future__ import annotations
@@ -13,16 +14,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from wudlab.characters import ROUND_TOL, build_character_table
+from wudlab.characters import build_character_table, unit_value_logs
 from wudlab.density import alpha
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
 from wudlab.number_core import FactoredModulus, factor
 from wudlab.poly import IntPoly
 
 BRUTE_GUARD = 10**7
+BIT_BUDGET = 2**20  # bits per packed operand; slowest admitted power measured: 1.5 s
 
 METHODS = ("brute", "character", "linear", "auto")
 
@@ -91,40 +94,61 @@ def _v_double_brute_all(F: IntPoly, q: int, J: int) -> np.ndarray:
     return np.bincount(prods, minlength=q)
 
 
-def _v_double_char_prime_power(F: IntPoly, ell: int, e: int, J: int) -> np.ndarray:
+def _pack(c: np.ndarray, width: int) -> int:
+    """One Python int whose slot k of `width` bytes holds c[k] in [0, 256^width)."""
+    buf = np.zeros((c.size, width), dtype=np.uint8)
+    k = min(width, 8)
+    buf[:, :k] = c.astype("<i8").view(np.uint8).reshape(-1, 8)[:, :k]
+    return int.from_bytes(buf.tobytes(), "little")
+
+
+def _cyclic_product(*powers: tuple[np.ndarray, int]) -> tuple[int, ...]:
+    """prod_i c_i^(J_i) mod x^phi - 1 for count vectors c_i of length phi,
+    exactly, as a tuple of Python ints.
+
+    Kronecker substitution with binary powering: each c_i is packed into one
+    Python int. A coefficient of any partial product is at most the bound
+    prod_i max(1, sum c_i)^(J_i), so slots wide enough for it never carry
+    into each other, and the reduction by x^phi = 1 after each product is
+    the fold (P & mask) + (P >> phi * width).
+    """
+    phi = powers[0][0].size
+    bound = math.prod(max(1, int(c.sum())) ** J for c, J in powers)
+    width = (bound.bit_length() + 7) // 8  # bytes per slot
+    shift = 8 * width * phi
+    if shift > BIT_BUDGET:
+        raise GuardExceededError(
+            f"cyclic power of {phi} slots x {8 * width} bits = {shift} bits "
+            f"exceeds guard {BIT_BUDGET}"
+        )
+    mask = (1 << shift) - 1
+
+    def fold(P: int) -> int:
+        return (P & mask) + (P >> shift)
+
+    acc = 1
+    for c, J in powers:
+        base, p = _pack(c, width), 1
+        for bit in bin(J)[2:]:
+            p = fold(p * p)
+            if bit == "1":
+                p = fold(p * base)
+        acc = fold(acc * p)
+    raw = acc.to_bytes(shift // 8, "little")
+    return tuple(int.from_bytes(raw[k * width:(k + 1) * width], "little")
+                 for k in range(phi))
+
+
+@lru_cache(maxsize=64)
+def _v_double_char_prime_power(F: IntPoly, ell: int, e: int, J: int) -> tuple[int, ...]:
     """V''_{ell^e}(w) for every unit w, indexed by discrete log of w.
 
-    Orthogonality gives phi * V''(w) = sum_chi conj(chi(w)) Z_chi^J; over the
-    cyclic character group this is a length-phi DFT of the Z vector.
+    Over the cyclic character group, orthogonality makes V'' the J-fold
+    cyclic convolution of the log histogram of the unit values F(v), which
+    is computed exactly with no character values formed.
     """
-    table = build_character_table(ell, e)
-    m, phi = table.modulus, table.phi
-    logs = table.unit_view.log_table
-    fv = F.eval_mod(np.arange(m, dtype=np.int64)[logs >= 0], m)
-    flogs = logs[fv]
-    flogs = flogs[flogs >= 0]
-    c = np.bincount(flogs, minlength=phi).astype(np.float64)
-    z = np.conj(np.fft.fft(c))          # Z_t = sum_k c_k e(+tk/phi)
-    vraw = np.fft.fft(z**J).real / phi  # index k <-> w = g^k
-    vint = np.rint(vraw)
-    resid = float(np.max(np.abs(vraw - vint)))
-    if resid >= ROUND_TOL:
-        raise ConsistencyError(
-            f"character method rounding residual {resid:.3g} >= {ROUND_TOL} "
-            f"at ell^e = {ell}^{e}, J={J}"
-        )
-    return vint.astype(np.int64)
-
-
-def _v_double_character(F: IntPoly, q: FactoredModulus, J: int, w: int) -> int:
-    if math.gcd(w, q.q) != 1:
-        raise InvalidConfigError(f"target w={w} must be a unit mod {q.q}")
-    total = 1
-    for ell, e in q.factors:
-        table = build_character_table(ell, e)
-        per_log = _v_double_char_prime_power(F, ell, e, J)
-        total *= int(per_log[table.unit_view.log(w % table.modulus)])
-    return total
+    c = np.bincount(unit_value_logs(F, ell, e), minlength=build_character_table(ell, e).phi)
+    return _cyclic_product((c, J))
 
 
 def _linear_coeffs(F: IntPoly) -> tuple[int, int]:
@@ -163,6 +187,8 @@ def count_v_double(F: IntPoly, q: FactoredModulus | int, J: int, w: int,
     _require_odd(q)
     if method not in METHODS:
         raise InvalidConfigError(f"method must be one of {METHODS}")
+    if J < 0:
+        raise InvalidConfigError("J must be >= 0")
     if math.gcd(w, q.q) != 1:
         raise InvalidConfigError(f"target w={w} must be a unit mod {q.q}")
     if method == "auto":
@@ -170,7 +196,8 @@ def count_v_double(F: IntPoly, q: FactoredModulus | int, J: int, w: int,
     if method == "brute":
         return int(_v_double_brute_all(F, q.q, J)[w % q.q])
     if method == "character":
-        return _v_double_character(F, q, J, w)
+        return math.prod(_v_double_char_prime_power(F, ell, e, J)[
+            build_character_table(ell, e).unit_view.log(w)] for ell, e in q.factors)
     total = 1
     for ell, e in q.factors:
         total *= _v_double_linear_prime_power(F, ell, e, J, w % ell**e)
@@ -180,26 +207,22 @@ def count_v_double(F: IntPoly, q: FactoredModulus | int, J: int, w: int,
 def v_double_incex_term(F: IntPoly, ell: int, e: int, J: int, j: int, w: int) -> int:
     """V''_{ell^e, j}: J-tuples mod ell^e with ell | v_1, ..., v_j and
     prod (R v_i + S) = w, the first j coordinates forced non-unit and the
-    rest unrestricted. Counted by an exact histogram fold over the
-    multiplicative monoid mod ell^e (no characters involved).
+    rest unrestricted. For a unit w every factor is a unit, so this is the
+    slot log w of c_div^j * c_all^(J - j) mod x^phi - 1, where c_div and
+    c_all are the log histograms of the unit values R v + S over ell | v
+    and over all v.
     """
-    R, S = _linear_coeffs(F)
+    _linear_coeffs(F)
+    if not 0 <= j <= J:
+        raise InvalidConfigError(f"need 0 <= j <= J, got j={j}, J={J}")
     m = ell**e
-    v_all = np.arange(m, dtype=np.int64)
-    hist_all = np.bincount((R * v_all + S) % m, minlength=m)
-    v_div = np.arange(0, m, ell, dtype=np.int64)  # v = 0, ell, 2 ell, ...
-    hist_div = np.bincount((R * v_div + S) % m, minlength=m)
-    dist = np.zeros(m, dtype=np.int64)
-    dist[1 % m] = 1
-    target = np.arange(m, dtype=np.int64)
-    for hist in [hist_div] * j + [hist_all] * (J - j):
-        new = np.zeros(m, dtype=np.int64)
-        for u in range(m):
-            if dist[u]:
-                new_idx = (u * target) % m
-                np.add.at(new, new_idx, dist[u] * hist)
-        dist = new
-    return int(dist[w % m])
+    table = build_character_table(ell, e)
+    k = table.unit_view.log(w)
+    logs = table.unit_view.log_table[F.eval_mod(np.arange(m, dtype=np.int64), m)]
+    div = logs[::ell]
+    c_all = np.bincount(logs[logs >= 0], minlength=table.phi)
+    c_div = np.bincount(div[div >= 0], minlength=table.phi)
+    return _cyclic_product((c_div, j), (c_all, J - j))[k]
 
 
 def v_double_incex(F: IntPoly, ell: int, e: int, J: int, w: int) -> tuple[int, list[int]]:

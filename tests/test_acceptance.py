@@ -14,7 +14,6 @@ from wudlab.characters import (
     build_character_table,
     curve_point_count,
     ramanujan_sum,
-    ramanujan_sum_direct,
     z_chi,
 )
 from wudlab.density import alpha, alpha_direct_count, brute_unit_roots, count_unit_roots
@@ -29,6 +28,8 @@ from wudlab.tuples import (
     count_v_prime,
     v_double_incex,
 )
+
+from reference import ramanujan_sum_direct
 
 PHI = IntPoly((-1, 1))
 SIGMA = IntPoly((1, 1))

@@ -13,13 +13,14 @@ from wudlab.characters import (
     build_character_table,
     curve_point_count,
     ramanujan_sum,
-    ramanujan_sum_direct,
     z_chi,
     z_chi_principal_exact,
 )
 from wudlab.errors import GuardExceededError, InvalidConfigError
 from wudlab.number_core import factor, primes_upto
 from wudlab.poly import IntPoly
+
+from reference import ramanujan_sum_direct
 
 SMALL_TABLES = [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (7, 2)]
 
@@ -199,6 +200,11 @@ class TestCurveCount:
     def test_w_zero_rejected(self, phi_poly):
         with pytest.raises(InvalidConfigError):
             curve_point_count(phi_poly, 7, 0)
+
+    @pytest.mark.parametrize("ell", [9, 15, 49])
+    def test_composite_ell_rejected(self, quad_poly, ell):
+        with pytest.raises(InvalidConfigError, match="prime"):
+            curve_point_count(quad_poly, ell, 2)
 
     def test_quad_mod_11(self, quad_poly):
         rep = curve_point_count(quad_poly, 11, 3)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wudlab import tuples
 from wudlab.cli import main
 from wudlab.errors import ConsistencyError, InvalidConfigError
 from wudlab.lab import (
@@ -255,6 +256,26 @@ class TestCli:
         assert main(["dist", "--poly", "phi", "--q", "1000000007", "--x", "100"]) == 3
         assert main(["scenario", "additive", "--q", "1000000007", "--x", "100"]) == 3
         assert capsys.readouterr().err.count("modulus guard") == 2
+
+    def test_tuples_exact_past_int64(self, capsys):
+        # 3^8, J=8: the counts need 78 bits; V' = (phi(q) alpha(q))^J.
+        # Every unit value v - 1 is 1 mod 3, so only w = 1 mod 3 is hit.
+        assert main(["tuples", "--poly", "phi", "--q", "6561", "--J", "8"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 4374
+        assert all((r["v_double"] > 0) == (r["w"] % 3 == 1) for r in rows)
+        assert all(r["v_double"] >= 0 for r in rows)
+        assert sum(r["v_double"] for r in rows) == (4374 * Fraction(1, 2)) ** 8
+
+    def test_tuples_bit_budget_exit_3(self, capsys, monkeypatch):
+        # 3^9, J=6 packs 13122 slots of 80 bits, just past 2^20: refused
+        # before any histogram is packed
+        def no_packing(*args):
+            raise AssertionError("packed past the bit budget")
+
+        monkeypatch.setattr(tuples, "_pack", no_packing)
+        assert main(["tuples", "--poly", "phi", "--q", "19683", "--J", "6"]) == 3
+        assert "1049760 bits exceeds guard 1048576" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.ini")]) == 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wudlab.errors import InvalidConfigError
@@ -63,13 +63,16 @@ class TestEval:
         assert F.eval_mod(v, m1 * m2) % m2 == F.eval_mod(v, m2)
 
     @given(
-        st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=6),
-        st.integers(1, 10**6),
-        st.lists(st.integers(0, 10**6), min_size=1, max_size=20),
+        st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=7),
+        st.one_of(st.integers(1, 10**6), st.integers(1, 3 * 10**9)),
+        st.lists(st.integers(0, 3 * 10**9), min_size=1, max_size=20),
     )
+    @example([2**70 - 1] * 7, 3 * 10**9, [3 * 10**9 - 1, 2**31, 0])
+    @example([1, 0, 1], 3 * 10**9 - 7, [3 * 10**9 - 8])
     @settings(max_examples=300)
     def test_residue_array_matches_exact(self, coeffs, m, vs):
-        # huge coefficients must not wrap the int64 Horner intermediate
+        # huge coefficients must not wrap the int64 Horner intermediate, and
+        # with m near 3*10^9 the lazy reduction must reduce before step 3
         if coeffs[-1] == 0:
             coeffs[-1] = 1
         F = IntPoly(tuple(coeffs))

@@ -2,10 +2,11 @@
 tuple counts with their closed form."""
 
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wudlab.errors import ConsistencyError, InvalidConfigError
@@ -13,6 +14,7 @@ from wudlab.number_core import factor
 from wudlab.poly import IntPoly
 from wudlab.tuples import (
     _v_double_brute_all,
+    _v_double_char_prime_power,
     additive_tuple_counts,
     count_v_double,
     count_v_prime,
@@ -20,6 +22,41 @@ from wudlab.tuples import (
     v_double_incex,
     v_double_incex_term,
 )
+
+
+def _convolve(dist: Counter, hist: Counter, m: int) -> Counter:
+    """One more factor: the product u * x mod m weighted by dist[u] * hist[x]."""
+    out = Counter()
+    for u, a in dist.items():
+        for x, n in hist.items():
+            out[u * x % m] += a * n
+    return out
+
+
+def _v_double_oracle(F, q, J):
+    """V''_q(w) for every unit w by J plain O(phi^2) convolutions over the
+    residues mod q in Python ints: no discrete logs and no packing."""
+    hist = Counter(F.eval_int(v) % q for v in range(q) if math.gcd(v, q) == 1)
+    hist = Counter({x: n for x, n in hist.items() if math.gcd(x, q) == 1})
+    dist = Counter({1 % q: 1})
+    for _ in range(J):
+        dist = _convolve(dist, hist, q)
+    return {w: dist[w] for w in range(1, q) if math.gcd(w, q) == 1}
+
+
+def _incex_terms_oracle(F, ell, e, J, w):
+    """V''_{ell^e, j}(w) for j = 0..J from the definition: j factors over
+    v = 0 mod ell, J - j over all v, F(v) taken over every residue."""
+    m = ell**e
+    hist_all = Counter(F.eval_int(v) % m for v in range(m))
+    hist_div = Counter(F.eval_int(v) % m for v in range(0, m, ell))
+    terms = []
+    for j in range(J + 1):
+        dist = Counter({1 % m: 1})
+        for hist in [hist_div] * j + [hist_all] * (J - j):
+            dist = _convolve(dist, hist, m)
+        terms.append(dist[w % m])
+    return terms
 
 
 class TestVPrime:
@@ -57,6 +94,11 @@ class TestVDouble:
     def test_nonunit_target_rejected(self, phi_poly):
         with pytest.raises(InvalidConfigError):
             count_v_double(phi_poly, 5, 2, 5)
+
+    @pytest.mark.parametrize("method", ["brute", "character", "auto"])
+    def test_negative_j_rejected(self, quad_poly, method):
+        with pytest.raises(InvalidConfigError):
+            count_v_double(quad_poly, 7, -1, 1, method=method)
 
     @pytest.mark.parametrize("q", [5, 7, 25, 35, 49])
     @pytest.mark.parametrize("J", [2, 3])
@@ -101,6 +143,29 @@ class TestVDouble:
             )
             assert whole == parts
 
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=5),
+           st.sampled_from([3, 5, 7, 9, 13, 25, 27, 49, 81, 15, 21, 45, 211]),
+           st.integers(min_value=0, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_character_matches_oracle(self, coeffs, q, J):
+        if coeffs[-1] == 0:
+            coeffs[-1] = 1
+        F = IntPoly(tuple(coeffs))
+        want = _v_double_oracle(F, q, J)
+        assert {w: count_v_double(F, q, J, w, method="character") for w in want} == want
+
+    def test_character_exact_past_float(self, quad_poly):
+        # a float FFT got 123 of these 210 classes wrong without raising
+        want = _v_double_oracle(quad_poly, 211, 8)
+        assert {w: count_v_double(quad_poly, 211, 8, w, method="character")
+                for w in want} == want
+
+    def test_character_power_computed_once_per_panel(self, quad_poly):
+        _v_double_char_prime_power.cache_clear()
+        hypothesis_a_ratio(quad_poly, 5**3, 7, method="character")
+        info = _v_double_char_prime_power.cache_info()
+        assert (info.misses, info.hits) == (1, 99)
+
     @given(st.sampled_from([(1, 3), (2, 1), (3, -1), (1, -2), (4, 3)]),
            st.sampled_from([(5, 1), (7, 1), (3, 2), (5, 2)]),
            st.integers(min_value=1, max_value=3))
@@ -131,6 +196,37 @@ class TestInclusionExclusion:
         for w in (1, m - 1):
             count, _ = v_double_incex(phi_poly, ell, e, J, w)
             assert count == count_v_double(phi_poly, m, J, w, method="auto")
+
+    def test_exact_past_int64(self, phi_poly):
+        # an int64 fold wrapped here and returned 865735496153603975465
+        count, _ = v_double_incex(phi_poly, 3, 7, 8, 1)
+        assert count == 109418989131512359209
+
+    @pytest.mark.parametrize("w", [0, 3, 6])
+    def test_nonunit_target_rejected(self, phi_poly, w):
+        with pytest.raises(InvalidConfigError):
+            v_double_incex(phi_poly, 3, 2, 2, w)
+        with pytest.raises(InvalidConfigError):
+            v_double_incex_term(phi_poly, 3, 2, 2, 1, w)
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_j_out_of_range_rejected(self, phi_poly, j):
+        with pytest.raises(InvalidConfigError):
+            v_double_incex_term(phi_poly, 5, 1, 2, j, 1)
+
+    @given(st.integers(-20, 20).filter(bool), st.integers(-20, 20),
+           st.sampled_from([(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1)]),
+           st.integers(min_value=0, max_value=12), st.integers(min_value=0))
+    @example(1, -1, (3, 4), 12, 2)  # the terms pass 2^63, where an int64 fold wraps
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, R, S, pe, J, w):
+        ell, e = pe
+        m = ell**e
+        w = w % m + (w % ell == 0)  # a unit
+        F = IntPoly((S, R))
+        count, terms = v_double_incex(F, ell, e, J, w)
+        assert terms == _incex_terms_oracle(F, ell, e, J, w)
+        assert count == _v_double_oracle(F, m, J)[w]
 
     def test_terms_against_direct_enumeration(self, phi_poly):
         # V''_{ell^e, j} counted straight from the definition
