@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import math
 import sys
@@ -141,16 +142,18 @@ def _cmd_density(args) -> None:
 def _cmd_sieve(args) -> None:
     spec = MultiplicativeSpec(F=parse_poly(args.poly), rule=args.rule)
     params = ConvenientParams.from_x(args.x, delta=args.delta, J=args.J)
-    rows = list(sieve_range(spec, 1, args.x, args.q, params,
-                            segment_size=args.segment_size))
+    rows = sieve_range(spec, 1, args.x, args.q, params,
+                       segment_size=args.segment_size)
     if args.dump:
+        first = next(rows)  # one row per n in [1, x], streamed to the file
         with open(args.dump, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer = csv.DictWriter(fh, fieldnames=list(first))
             writer.writeheader()
+            writer.writerow(first)
             writer.writerows(rows)
-        print(f"wrote {len(rows)} records to {args.dump}")
+        print(f"wrote {args.x} records to {args.dump}")
     else:
-        _emit(rows[: 50], args)
+        _emit(list(itertools.islice(rows, 50)), args)
 
 
 def _cmd_chars(args) -> None:

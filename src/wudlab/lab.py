@@ -91,14 +91,13 @@ class DistributionReport:
 class _DistributionAccumulator:
     """Streams segments, keeping exact per-class and convenient-split counts."""
 
-    def __init__(self, spec: MultiplicativeSpec, q: int, params: ConvenientParams,
-                 filter_name: str = "none", scenario: str = "dist"):
+    def __init__(self, spec: MultiplicativeSpec, q: int, filter_name: str = "none",
+                 scenario: str = "dist"):
         if filter_name not in FILTERS:
             raise InvalidConfigError(f"filter must be one of {FILTERS}")
         check_modulus(q)
         self.spec = spec
         self.q = q
-        self.params = params
         self.filter_name = filter_name
         self.scenario = scenario
         self.units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
@@ -107,20 +106,20 @@ class _DistributionAccumulator:
         self.n_con = 0
         self.profile = alpha(spec.F, q)
 
-    def _filter_mask(self, seg: SegmentData) -> np.ndarray:
+    def _filter_mask(self, seg: SegmentData, convenient: np.ndarray) -> np.ndarray:
         if self.filter_name == "none":
             return np.ones(seg.hi - seg.lo, dtype=bool)
         if self.filter_name == "pD2-rough":
             return seg.P(self.spec.F.degree + 2) > self.q
         if self.filter_name == "p2-rough":
             return seg.P(2) > self.q
-        return seg.convenient(self.params)
+        return convenient
 
-    def add(self, seg: SegmentData) -> None:
-        sel = seg.coprime & self._filter_mask(seg)
+    def add(self, seg: SegmentData, convenient: np.ndarray) -> None:
+        sel = seg.coprime & self._filter_mask(seg, convenient)
         self.class_counts += np.bincount(seg.fmod[sel], minlength=len(self.class_counts))
         self.n_coprime += int(np.count_nonzero(sel))
-        self.n_con += int(np.count_nonzero(sel & seg.convenient(self.params)))
+        self.n_con += int(np.count_nonzero(sel & convenient))
 
     def snapshot(self, x: int) -> DistributionReport:
         counts = {a: int(self.class_counts[a]) for a in self.units}
@@ -171,7 +170,7 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
         raise InvalidConfigError("x must be >= 1")
     x_max = xs[-1]
     params = ConvenientParams.from_x(x_max, delta=delta, J=J if J is not None else 1)
-    accs = [_DistributionAccumulator(spec, q, params, f, scenario) for f in filter_names]
+    accs = [_DistributionAccumulator(spec, q, f, scenario) for f in filter_names]
     reports: list[DistributionReport] = []
     checkpoints = list(xs)
     lo = 1
@@ -179,9 +178,10 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
         if x >= lo:
             for seg in iter_segments(spec, lo, x, q,
                                      k_slots=_k_slots(spec, params, filter_names),
-                                     additive=False):
+                                     fields=("fmod",)):
+                convenient = seg.convenient(params)
                 for acc in accs:
-                    acc.add(seg)
+                    acc.add(seg, convenient)
             lo = x + 1
         for acc in accs:
             reports.append(acc.snapshot(x))
@@ -275,10 +275,12 @@ class AdditiveReport:
 def run_additive(q: int, x: int, scenario: str = "additive") -> AdditiveReport:
     """Census of A(n) and A*(n) mod q; expected x/q in every class."""
     check_modulus(q)
-    spec = MultiplicativeSpec(F=IntPoly((-1, 1)))  # F is irrelevant here
+    if x < 1:
+        raise InvalidConfigError("x must be >= 1")
+    spec = MultiplicativeSpec(F=IntPoly((-1, 1)))  # never evaluated: f is not asked for
     counts_a = np.zeros(q, dtype=np.int64)
     counts_s = np.zeros(q, dtype=np.int64)
-    for seg in iter_segments(spec, 1, x, q, k_slots=0):
+    for seg in iter_segments(spec, 1, x, q, k_slots=0, fields=("A", "Astar")):
         counts_a += np.bincount(seg.A % q, minlength=q)
         counts_s += np.bincount(seg.Astar % q, minlength=q)
     exp = x / q

@@ -7,16 +7,17 @@ mod q and derived flags only. A segment holds DEFAULT_SEGMENT integers, so
 that its working arrays stay in L2 cache. It is processed with numpy
 operations on strided views: for each prime p below sqrt(hi) and each k for
 which the segment holds a multiple of p^k, the view [s::p^k] over those
-multiples has one factor p divided out and pushed on top of the slot stack
-of largest prime factors (primes come in ascending order, so each new factor
-goes on top). The exponent count then picks f(p^e) mod q from a per-prime
-table, which is built once per run and extended when a segment first holds
-a higher power of p. What remains after the small primes is 1 or a single
-prime above sqrt(hi).
+multiples has one factor p multiplied into its smooth part and pushed on top
+of the slot stack of largest prime factors (primes come in ascending order,
+so each new factor goes on top). The exponent count then picks f(p^e) mod q
+from a per-prime table, built once per run and extended when a segment first
+holds a higher power of p. Where smooth != n, n / smooth is one prime above
+sqrt(hi); its F mod q comes from a per-run table of F(r) mod q, r < q.
 
-A caller pays only for the fields it reads: fmod, coprime and a slot stack
-k_slots deep (0 allowed) are always computed; Omega, A and A* only with
-additive=True, the default.
+A caller pays only for the FIELDS it asks for: fmod (which brings coprime),
+Omega, A and A*; the slot stack, k_slots deep (0 allowed), is always there.
+Distribution runs ask for fmod, the additive runs for A and A*, and the
+per-n record dumps for fmod and Omega; the default is all of them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ DEFAULT_SEGMENT = 1 << 16  # a segment's working arrays fit in L2
 # every table of size q is guarded; q <= 10^6 also keeps q^2 < 2^63 for the
 # int64 products of residues
 MODULUS_GUARD = 10**6
+FIELDS = ("fmod", "Omega", "A", "Astar")  # what iter_segments computes on request
 
 RULES = (
     "completely-multiplicative",   # f(p^e) = F(p)^e
@@ -124,6 +126,8 @@ class ConvenientParams:
         """
         if not 0 < delta <= 1:
             raise InvalidConfigError(f"delta must be in (0, 1], got {delta}")
+        if x < 1:
+            raise InvalidConfigError(f"x must be >= 1, got {x}")
         logx = math.log(x)
         j_natural = math.floor(math.log(math.log(logx))) if logx > math.e**math.e else 0
         if J is None:
@@ -210,11 +214,11 @@ class SegmentData:
     lo: int
     hi: int
     q: int
-    fmod: np.ndarray      # f(n) mod q
-    coprime: np.ndarray   # gcd(f(n) mod q, q) == 1
-    Omega: np.ndarray | None   # None unless the additive fields were asked for
-    A: np.ndarray | None       # A(n), exact
-    Astar: np.ndarray | None   # A*(n), exact signed
+    fmod: np.ndarray | None      # f(n) mod q; each field is None unless asked for
+    coprime: np.ndarray | None   # gcd(f(n) mod q, q) == 1, comes with fmod
+    Omega: np.ndarray | None
+    A: np.ndarray | None         # A(n), exact
+    Astar: np.ndarray | None     # A*(n), exact signed
     slots: np.ndarray     # (k_slots, hi-lo): largest prime factors, descending
 
     @property
@@ -246,85 +250,101 @@ def check_modulus(q: int) -> None:
 
 
 def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
-                   k_slots: int, additive: bool, small_primes: np.ndarray,
-                   tables: dict[int, np.ndarray],
-                   coprime_lookup: np.ndarray) -> SegmentData:
+                   k_slots: int, fields: tuple[str, ...], small_primes: np.ndarray,
+                   tables: dict[int, np.ndarray], f_table: np.ndarray | None,
+                   coprime_lookup: np.ndarray | None) -> SegmentData:
     size = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
-    fmod = np.full(size, 1 % q, dtype=np.int64)
-    extra = np.zeros(size, dtype=np.int8)  # exponent of the current p, minus 1
+    n = np.arange(lo, hi, dtype=np.int64)
+    smooth = np.ones(size, dtype=np.int64)  # the part of n on the small primes
     slots = np.zeros((k_slots, size), dtype=np.int64)
-    omega = a_sum = astar = None
-    if additive:
-        omega = np.zeros(size, dtype=np.int64)
-        a_sum = np.zeros(size, dtype=np.int64)
-        astar = np.zeros(size, dtype=np.int64)
+    fmod = extra = None
+    if "fmod" in fields:
+        fmod = np.full(size, 1 % q, dtype=np.int64)
+        extra = np.zeros(size, dtype=np.int8)  # exponent of the current p, minus 1
+    omega, a_sum, astar = (np.zeros(size, dtype=np.int64) if name in fields else None
+                           for name in ("Omega", "A", "Astar"))
 
-    def take(view, p) -> None:
-        # one more prime factor p, at least as large as every earlier one:
-        # it goes on top of the slot stack, and A*(pn) = p - A*(n)
-        if k_slots:
-            slots[1:, view] = slots[:-1, view]
-            slots[0, view] = p
-        if additive:
+    def take(view, p, k=0) -> None:
+        # p goes on top of the slot stack, whose top k slots already hold p;
+        # row by row, since a 2-D copy onto itself goes through a buffer
+        for r in range(k_slots - 1, k, -1):
+            slots[r, view] = slots[r - 1, view]
+        if k < k_slots:
+            slots[k, view] = p
+        if omega is not None:
             omega[view] += 1
+        if a_sum is not None:
             a_sum[view] += p
-            astar[view] = p - astar[view]
+        if astar is not None:  # A*(pn) = p - A*(n)
+            part = astar[view]
+            np.subtract(p, part, out=part)
+            astar[view] = part  # the write-back matters only for an index array
 
     for p in small_primes.tolist():
         if p * p >= hi:
             break
         k, pk = 0, p
-        while (start := -lo % pk) < size:  # views over the multiples of p^k
+        while (start := -lo % pk) < size:  # views over the multiples of p^(k+1)
             view = slice(start, None, pk)
-            rem[view] //= p
-            if k:
+            part = smooth[view]
+            part *= p
+            if k and extra is not None:
                 extra[view] += 1
-            take(view, p)
+            take(view, p, k)
             k, pk = k + 1, pk * p
-        if not k:
+        if not k or fmod is None:
             continue
         tab = tables.get(p)
         if tab is None or tab.size <= k:
             tab = tables[p] = spec.prime_power_table(p, k, q)
-        view = slice(-lo % p, None, p)
+        part = fmod[-lo % p::p]
         if k == 1:
-            fmod[view] = fmod[view] * int(tab[1]) % q
+            part *= int(tab[1])
         else:
-            fmod[view] = fmod[view] * tab[1:][extra[view]] % q
+            part *= tab[1:][extra[-lo % p::p]]
             extra[-lo % (p * p)::p * p] = 0
+        part %= q
 
-    big = np.flatnonzero(rem > 1)
+    big = np.flatnonzero(smooth != n)  # n = smooth * (one prime above sqrt(hi))
     if big.size:
-        pbig = rem[big]
-        fmod[big] = fmod[big] * spec.F.eval_mod(pbig % q, q) % q
+        pbig = n[big] // smooth[big]
+        if fmod is not None:
+            fmod[big] = fmod[big] * f_table[pbig % q] % q
         take(big, pbig)
 
-    return SegmentData(lo=lo, hi=hi, q=q, fmod=fmod, coprime=coprime_lookup[fmod],
+    return SegmentData(lo=lo, hi=hi, q=q, fmod=fmod,
+                       coprime=None if fmod is None else coprime_lookup[fmod],
                        Omega=omega, A=a_sum, Astar=astar, slots=slots)
 
 
 def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
                   k_slots: int = 4, segment_size: int = DEFAULT_SEGMENT,
-                  additive: bool = True) -> Iterator[SegmentData]:
+                  fields: tuple[str, ...] = FIELDS) -> Iterator[SegmentData]:
     """Process [lo, hi] (inclusive on both ends) in independent segments.
 
     Results are identical for any segmentation: each segment is a pure
-    function of its own range. With additive=False the Omega, A and Astar
-    fields are None and are not computed.
+    function of its own range. Only the FIELDS named in fields are computed
+    (coprime comes with fmod) and the others are None.
     """
     if hi > SIEVE_GUARD:
         raise GuardExceededError(f"sieve guard {SIEVE_GUARD} exceeded by hi={hi}")
     if lo < 1:
         raise InvalidConfigError("sieve range starts at n >= 1")
+    if segment_size < 1:
+        raise InvalidConfigError(f"segment size must be >= 1, got {segment_size}")
+    if not set(fields) <= set(FIELDS):
+        raise InvalidConfigError(f"fields must be drawn from {FIELDS}, got {fields}")
     check_modulus(q)
     small = primes_upto(math.isqrt(hi))
     tables: dict[int, np.ndarray] = {}  # p -> f(p^e) mod q, grown on demand
-    coprime_lookup = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    f_table = coprime_lookup = None
+    if "fmod" in fields:
+        f_table = spec.F.eval_mod(np.arange(q, dtype=np.int64), q)
+        coprime_lookup = np.gcd(np.arange(q, dtype=np.int64), q) == 1
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size, hi + 1)
-        yield _sieve_segment(spec, q, seg_lo, seg_hi, k_slots, additive, small,
-                             tables, coprime_lookup)
+        yield _sieve_segment(spec, q, seg_lo, seg_hi, k_slots, fields, small,
+                             tables, f_table, coprime_lookup)
 
 
 def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
@@ -336,10 +356,10 @@ def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
         raise GuardExceededError(f"record streaming capped at {RECORD_GUARD} values")
     k_slots = max(params.J + 1, 2)
     for seg in iter_segments(spec, lo, hi, q, k_slots=k_slots,
-                             segment_size=segment_size):
-        conv = seg.convenient(params)
-        p1, p2 = seg.P(1), seg.P(2)
-        for i in range(seg.hi - seg.lo):
-            yield {"n": seg.lo + i, "f_mod_q": int(seg.fmod[i]),
-                   "coprime": bool(seg.coprime[i]), "Omega": int(seg.Omega[i]),
-                   "P1": int(p1[i]), "P2": int(p2[i]), "convenient": bool(conv[i])}
+                             segment_size=segment_size, fields=("fmod", "Omega")):
+        columns = (seg.fmod, seg.coprime, seg.Omega, seg.P(1), seg.P(2),
+                   seg.convenient(params))
+        for n, f, c, o, p1, p2, conv in zip(range(seg.lo, seg.hi),
+                                             *(col.tolist() for col in columns)):
+            yield {"n": n, "f_mod_q": f, "coprime": c, "Omega": o,
+                   "P1": p1, "P2": p2, "convenient": conv}

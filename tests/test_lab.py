@@ -1,5 +1,6 @@
 """Experiment orchestration: distribution runs, scenarios, exports, CLI."""
 
+import csv
 import json
 import math
 from collections import Counter
@@ -21,7 +22,7 @@ from wudlab.lab import (
     run_scenario,
     growth_fit,
 )
-from wudlab.sieve import MultiplicativeSpec, f_mod
+from wudlab.sieve import ConvenientParams, FactorizationRecord, MultiplicativeSpec, f_mod
 from wudlab.poly import IntPoly
 
 
@@ -128,6 +129,19 @@ class TestAdditiveRun:
             counts_s[s] += 1
         assert rep.counts_a == dict(counts_a)
         assert rep.counts_astar == dict(counts_s)
+
+    def test_f_never_evaluated(self, monkeypatch):
+        def no_eval(*args):
+            raise AssertionError("F evaluated in an additive run")
+
+        monkeypatch.setattr(IntPoly, "eval_mod", no_eval)
+        rep = run_additive(4, 3 * 10**4)
+        assert sum(rep.counts_a.values()) == sum(rep.counts_astar.values()) == 3 * 10**4
+
+    @pytest.mark.parametrize("x", [0, -5])
+    def test_x_below_one_rejected(self, x):
+        with pytest.raises(InvalidConfigError, match="x must be >= 1"):
+            run_additive(4, x)
 
 
 class TestScenarios:
@@ -286,3 +300,42 @@ class TestCli:
                      "--J", "1", "--dump", str(dump)]) == 0
         lines = dump.read_text().splitlines()
         assert len(lines) == 501  # header + one row per n
+
+    def test_sieve_rows_match_reference(self, tmp_path, capsys):
+        # the dump and the printed rows, against the per-n reference path
+        x, q = 2000, 5
+        spec, params = _phi_spec(), ConvenientParams.from_x(x, J=1)
+        rows = []
+        for n in range(1, x + 1):
+            rec = FactorizationRecord.of(n)
+            val, cop = f_mod(spec, n, q)
+            rows.append({"n": n, "f_mod_q": val, "coprime": cop, "Omega": rec.Omega,
+                         "P1": rec.P(1), "P2": rec.P(2),
+                         "convenient": rec.is_convenient(params)})
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        dump = tmp_path / "records.csv"
+        args = ["sieve", "--poly", "phi", "--q", str(q), "--x", str(x), "--J", "1"]
+        assert main([*args, "--segment-size", "777", "--dump", str(dump)]) == 0
+        assert dump.read_bytes() == expected.read_bytes()
+        capsys.readouterr()
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out) == rows[:50]
+
+    @pytest.mark.parametrize("argv", [
+        ["sieve", "--poly", "phi", "--q", "5", "--x", "1000", "--J", "1",
+         "--segment-size", "0"],
+        ["sieve", "--poly", "phi", "--q", "5", "--x", "1000", "--J", "1",
+         "--segment-size", "-4"],
+        ["sieve", "--poly", "phi", "--q", "5", "--x", "0", "--J", "1"],
+        ["scenario", "additive", "--q", "4", "--x", "0"],
+        ["scenario", "additive", "--q", "4", "--x", "-5"],
+    ])
+    def test_bad_range_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 1" in captured.err

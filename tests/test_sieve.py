@@ -12,6 +12,7 @@ from wudlab.errors import GuardExceededError, InvalidConfigError
 from wudlab.number_core import is_prime
 from wudlab.poly import IntPoly
 from wudlab.sieve import (
+    FIELDS,
     MODULUS_GUARD,
     RULES,
     ConvenientParams,
@@ -90,6 +91,11 @@ class TestConvenientParams:
     def test_j_zero_rejected(self):
         with pytest.raises(InvalidConfigError):
             ConvenientParams.from_x(10**6, J=0)
+
+    @pytest.mark.parametrize("x", [0, -5, 0.5])
+    def test_x_below_one_rejected(self, x):
+        with pytest.raises(InvalidConfigError, match="x must be >= 1"):
+            ConvenientParams.from_x(x, J=1)
 
 
 class TestFactorizationRecord:
@@ -205,6 +211,11 @@ class TestSegments:
         seg = next(iter_segments(spec, 1, 100, 5, k_slots=2))
         with pytest.raises(GuardExceededError):
             seg.P(3)
+        for size in (0, -4):
+            with pytest.raises(InvalidConfigError, match="segment size"):
+                next(iter_segments(spec, 1, 100, 5, segment_size=size))
+        with pytest.raises(InvalidConfigError, match="fields"):
+            next(iter_segments(spec, 1, 100, 5, fields=("fmod", "P1")))
 
     def test_modulus_guard(self, phi_poly):
         # checked before the O(q) coprime table is built
@@ -258,19 +269,23 @@ def _kernel_cases(draw):
 
 
 class TestKernelProperty:
-    @given(_kernel_cases())
+    @given(_kernel_cases(), st.lists(st.sampled_from(FIELDS), unique=True))
     @settings(max_examples=80, deadline=None)
-    def test_matches_per_n_reference(self, case):
+    def test_matches_per_n_reference(self, case, fields):
         spec, lo, hi, q, k_slots, segment_size = case
         full = list(iter_segments(spec, lo, hi, q, k_slots=k_slots,
                                   segment_size=segment_size))
         lean = list(iter_segments(spec, lo, hi, q, k_slots=k_slots,
-                                  segment_size=segment_size, additive=False))
+                                  segment_size=segment_size, fields=tuple(fields)))
         assert [s.lo for s in full] == list(range(lo, hi + 1, segment_size))
+        assert len(lean) == len(full)
+        asked = {*fields, "slots"} | ({"coprime"} if "fmod" in fields else set())
         for seg, lean_seg in zip(full, lean):
-            assert lean_seg.Omega is lean_seg.A is lean_seg.Astar is None
-            for key in ("fmod", "coprime", "slots"):
-                assert np.array_equal(getattr(seg, key), getattr(lean_seg, key))
+            for key in ("fmod", "coprime", "Omega", "A", "Astar", "slots"):
+                if key in asked:
+                    assert np.array_equal(getattr(seg, key), getattr(lean_seg, key))
+                else:
+                    assert getattr(lean_seg, key) is None
             for i, n in enumerate(range(seg.lo, seg.hi)):
                 rec = FactorizationRecord.of(n)
                 assert (int(seg.fmod[i]), bool(seg.coprime[i])) == f_mod(spec, n, q)
