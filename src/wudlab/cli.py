@@ -18,9 +18,9 @@ from pathlib import Path
 
 from wudlab.density import alpha, xi_max_roots
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
-from wudlab.lab import SCENARIOS, export_report, run_distribution, run_scenario
+from wudlab.lab import FILTERS, SCENARIOS, export_report, run_distribution, run_scenario
 from wudlab.poly import parse_poly
-from wudlab.sieve import DEFAULT_SEGMENT, ConvenientParams, MultiplicativeSpec, \
+from wudlab.sieve import DEFAULT_SEGMENT, RULES, ConvenientParams, MultiplicativeSpec, \
     sieve_range
 from wudlab.characters import build_character_table, curve_point_count, z_chi
 from wudlab.tuples import count_v_double, hypothesis_a_ratio, \
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_CONSISTENCY = 4
+CLI_RULES = tuple(r for r in RULES if r != "custom-table")  # no option can give a table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sieve", help="per-n record dump over a range")
     s.add_argument("--poly", required=True)
-    s.add_argument("--rule", default="euler-like")
+    s.add_argument("--rule", default="euler-like", choices=CLI_RULES)
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--delta", type=float, default=1.0)
@@ -76,13 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     di = sub.add_parser("dist", help="full distribution run")
     di.add_argument("--poly", required=True)
-    di.add_argument("--rule", default="euler-like")
+    di.add_argument("--rule", default="euler-like", choices=CLI_RULES)
     di.add_argument("--q", type=int, required=True)
     di.add_argument("--x", type=int, required=True)
     di.add_argument("--delta", type=float, default=1.0)
     di.add_argument("--J", type=int, default=None)
-    di.add_argument("--filter", default="none",
-                    choices=("none", "pD2-rough", "p2-rough", "convenient-only"))
+    di.add_argument("--filter", default="none", choices=FILTERS)
 
     sc = sub.add_parser("scenario", help="named experiment scenarios")
     sc.add_argument("name", choices=SCENARIOS)
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--q1", type=int, default=5)
     sc.add_argument("--D", type=int, default=2)
     sc.add_argument("--poly", default="phi")
-    sc.add_argument("--rule", default="euler-like")
+    sc.add_argument("--rule", default="euler-like", choices=CLI_RULES)
     return p
 
 
@@ -250,8 +250,9 @@ def _run_config(path: Path, args) -> None:
         if name in ("restricted-a", "restricted-b"):
             if "polynomial" in kv:
                 params["poly"] = kv["polynomial"]
-            if "rule" in kv:
-                params["rule"] = kv["rule"]
+            if kv.setdefault("rule", "euler-like") not in CLI_RULES:
+                raise InvalidConfigError(f"[{section}] rule {kv['rule']!r} not in {CLI_RULES}")
+            params["rule"] = kv["rule"]
         reports.append(run_scenario(name, **params))
     fmt = args.format
     out = args.out / f"wudlab-report.{fmt}"

@@ -101,14 +101,13 @@ class _DistributionAccumulator:
         self.filter_name = filter_name
         self.scenario = scenario
         self.units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
-        self.class_counts = np.zeros(q if q > 1 else 1, dtype=np.int64)
-        self.n_coprime = 0
+        self.class_counts = np.zeros(q, dtype=np.int64)  # every class; only units are read
         self.n_con = 0
         self.profile = alpha(spec.F, q)
 
-    def _filter_mask(self, seg: SegmentData, convenient: np.ndarray) -> np.ndarray:
+    def _filter_mask(self, seg: SegmentData, convenient: np.ndarray) -> np.ndarray | None:
         if self.filter_name == "none":
-            return np.ones(seg.hi - seg.lo, dtype=bool)
+            return None
         if self.filter_name == "pD2-rough":
             return seg.P(self.spec.F.degree + 2) > self.q
         if self.filter_name == "p2-rough":
@@ -116,17 +115,21 @@ class _DistributionAccumulator:
         return convenient
 
     def add(self, seg: SegmentData, convenient: np.ndarray) -> None:
-        sel = seg.coprime & self._filter_mask(seg, convenient)
-        self.class_counts += np.bincount(seg.fmod[sel], minlength=len(self.class_counts))
-        self.n_coprime += int(np.count_nonzero(sel))
-        self.n_con += int(np.count_nonzero(sel & convenient))
+        # n is coprime exactly when f(n) mod q is a unit class, and snapshot reads
+        # only unit classes: the class counts need no coprime mask
+        mask = self._filter_mask(seg, convenient)
+        con = seg.coprime & convenient
+        self.class_counts += np.bincount(seg.fmod if mask is None else seg.fmod[mask],
+                                         minlength=self.q)
+        self.n_con += int(np.count_nonzero(con if mask is None else con & mask))
 
     def snapshot(self, x: int) -> DistributionReport:
         counts = {a: int(self.class_counts[a]) for a in self.units}
         phi_q = len(self.units)
-        if self.n_coprime:
+        n_coprime = sum(counts.values())
+        if n_coprime:
             freqs = np.array([counts[a] for a in self.units], dtype=np.float64)
-            freqs *= phi_q / self.n_coprime
+            freqs *= phi_q / n_coprime
             disc = float(np.max(np.abs(freqs - 1.0)))
             tv = 0.5 * float(np.sum(np.abs(freqs - 1.0))) / phi_q
         else:
@@ -136,8 +139,8 @@ class _DistributionAccumulator:
         return DistributionReport(
             spec=self.spec.label(), scenario=self.scenario, x=x, q=self.q,
             filter=self.filter_name, class_counts=counts,
-            n_coprime=self.n_coprime, n_con=self.n_con,
-            n_inc=self.n_coprime - self.n_con, alpha=self.profile.alpha,
+            n_coprime=n_coprime, n_con=self.n_con,
+            n_inc=n_coprime - self.n_con, alpha=self.profile.alpha,
             discrepancy=disc, tv_distance=tv, growth_pred=pred,
         )
 
@@ -166,8 +169,8 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
                            scenario: str = "dist") -> list[DistributionReport]:
     """One sieve pass shared across increasing x checkpoints and filters."""
     xs = sorted(set(int(x) for x in xs))
-    if xs[0] < 1:
-        raise InvalidConfigError("x must be >= 1")
+    if not xs or xs[0] < 1:
+        raise InvalidConfigError("x must be >= 1" if xs else "no x checkpoints given")
     x_max = xs[-1]
     params = ConvenientParams.from_x(x_max, delta=delta, J=J if J is not None else 1)
     accs = [_DistributionAccumulator(spec, q, f, scenario) for f in filter_names]

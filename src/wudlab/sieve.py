@@ -14,6 +14,11 @@ from a per-prime table, built once per run and extended when a segment first
 holds a higher power of p. Where smooth != n, n / smooth is one prime above
 sqrt(hi); its F mod q comes from a per-run table of F(r) mod q, r < q.
 
+f(n) mod q is an int64 product of one residue per distinct prime of n, at most
+omega of them (p_1 ... p_omega <= hi). When (q - 1)^omega < 2^63 (q <= 512 at
+2*10^6, q <= 235 at 10^8) a segment reduces it once, at its end, else after
+every prime. n, smooth, the slots, Omega, A and A* are int32 (SIEVE_GUARD < 2^31).
+
 A caller pays only for the FIELDS it asks for: fmod (which brings coprime),
 Omega, A and A*; the slot stack, k_slots deep (0 allowed), is always there.
 Distribution runs ask for fmod, the additive runs for A and A*, and the
@@ -22,6 +27,7 @@ per-n record dumps for fmod and Omega; the default is all of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -29,12 +35,12 @@ from typing import Iterator
 import numpy as np
 
 from wudlab.errors import GuardExceededError, InvalidConfigError
-from wudlab.number_core import factor, primes_upto
+from wudlab.number_core import factor, is_prime, primes_upto
 from wudlab.poly import IntPoly
 
 SIEVE_GUARD = 10**8
 RECORD_GUARD = 10**6
-DEFAULT_SEGMENT = 1 << 16  # a segment's working arrays fit in L2
+DEFAULT_SEGMENT = 1 << 16  # 25 bytes per n with fmod and 2 slots: 1 638 400 < 2 MiB L2
 # every table of size q is guarded; q <= 10^6 also keeps q^2 < 2^63 for the
 # int64 products of residues
 MODULUS_GUARD = 10**6
@@ -249,28 +255,39 @@ def check_modulus(q: int) -> None:
         raise GuardExceededError(f"modulus guard {MODULUS_GUARD} exceeded by q={q}")
 
 
+def _reduce_once(q: int, hi: int) -> bool:
+    """(q - 1)^omega < 2^63, omega the most distinct primes an n <= hi can have."""
+    omega, primorial = 0, 1
+    for p in filter(is_prime, itertools.count(2)):
+        primorial *= p
+        if primorial > hi:
+            return (q - 1) ** omega < 2**63
+        omega += 1
+
+
 def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
                    k_slots: int, fields: tuple[str, ...], small_primes: np.ndarray,
                    tables: dict[int, np.ndarray], f_table: np.ndarray | None,
-                   coprime_lookup: np.ndarray | None) -> SegmentData:
+                   coprime_lookup: np.ndarray | None, reduce_once: bool) -> SegmentData:
     size = hi - lo
-    n = np.arange(lo, hi, dtype=np.int64)
-    smooth = np.ones(size, dtype=np.int64)  # the part of n on the small primes
-    slots = np.zeros((k_slots, size), dtype=np.int64)
+    n = np.arange(lo, hi, dtype=np.int32)
+    smooth = np.ones(size, dtype=np.int32)  # the part of n on the small primes
+    slots = np.zeros((k_slots, size), dtype=np.int32)
+    rows = list(slots)  # 1-D row views: indexing them is cheaper than slots[r, view]
     fmod = extra = None
     if "fmod" in fields:
         fmod = np.full(size, 1 % q, dtype=np.int64)
         extra = np.zeros(size, dtype=np.int8)  # exponent of the current p, minus 1
-    omega, a_sum, astar = (np.zeros(size, dtype=np.int64) if name in fields else None
+    omega, a_sum, astar = (np.zeros(size, dtype=np.int32) if name in fields else None
                            for name in ("Omega", "A", "Astar"))
 
     def take(view, p, k=0) -> None:
         # p goes on top of the slot stack, whose top k slots already hold p;
         # row by row, since a 2-D copy onto itself goes through a buffer
         for r in range(k_slots - 1, k, -1):
-            slots[r, view] = slots[r - 1, view]
+            rows[r][view] = rows[r - 1][view]
         if k < k_slots:
-            slots[k, view] = p
+            rows[k][view] = p
         if omega is not None:
             omega[view] += 1
         if a_sum is not None:
@@ -303,14 +320,17 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
         else:
             part *= tab[1:][extra[-lo % p::p]]
             extra[-lo % (p * p)::p * p] = 0
-        part %= q
+        if not reduce_once:
+            part %= q
 
     big = np.flatnonzero(smooth != n)  # n = smooth * (one prime above sqrt(hi))
     if big.size:
-        pbig = n[big] // smooth[big]
+        pbig = (n[big] / smooth[big]).astype(np.int32)  # exact: ints < 2^53 divide evenly
         if fmod is not None:
-            fmod[big] = fmod[big] * f_table[pbig % q] % q
+            fmod[big] *= f_table[pbig - pbig // q * q]
         take(big, pbig)
+    if fmod is not None:  # x - x // q * q: numpy's // by a scalar is far cheaper than %
+        fmod -= fmod // q * q
 
     return SegmentData(lo=lo, hi=hi, q=q, fmod=fmod,
                        coprime=None if fmod is None else coprime_lookup[fmod],
@@ -338,13 +358,14 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
     small = primes_upto(math.isqrt(hi))
     tables: dict[int, np.ndarray] = {}  # p -> f(p^e) mod q, grown on demand
     f_table = coprime_lookup = None
+    reduce_once = _reduce_once(q, hi)
     if "fmod" in fields:
         f_table = spec.F.eval_mod(np.arange(q, dtype=np.int64), q)
         coprime_lookup = np.gcd(np.arange(q, dtype=np.int64), q) == 1
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size, hi + 1)
         yield _sieve_segment(spec, q, seg_lo, seg_hi, k_slots, fields, small,
-                             tables, f_table, coprime_lookup)
+                             tables, f_table, coprime_lookup, reduce_once)
 
 
 def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,

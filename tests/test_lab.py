@@ -14,6 +14,7 @@ from wudlab.cli import main
 from wudlab.errors import ConsistencyError, InvalidConfigError
 from wudlab.lab import (
     CSV_COLUMNS,
+    FILTERS,
     DistributionReport,
     export_report,
     run_additive,
@@ -22,7 +23,13 @@ from wudlab.lab import (
     run_scenario,
     growth_fit,
 )
-from wudlab.sieve import ConvenientParams, FactorizationRecord, MultiplicativeSpec, f_mod
+from wudlab.sieve import (
+    RULES,
+    ConvenientParams,
+    FactorizationRecord,
+    MultiplicativeSpec,
+    f_mod,
+)
 from wudlab.poly import IntPoly
 
 
@@ -86,6 +93,33 @@ class TestDistribution:
         fracs = [r.n_inc / r.n_coprime for r in reps]
         assert fracs[1] < fracs[0]
 
+    def test_filters_match_masked_reference(self):
+        # q = 35 has non-unit classes (0, 5, 7, ...), which the counts must skip
+        q, x = 35, 3000
+        spec, params = _phi_spec(), ConvenientParams.from_x(x, J=1)
+        reps = run_distribution_multi(spec, q, [x], J=1, filter_names=FILTERS)
+        keep = {"none": lambda rec: True,
+                "pD2-rough": lambda rec: rec.P(3) > q,
+                "p2-rough": lambda rec: rec.P(2) > q,
+                "convenient-only": lambda rec: rec.is_convenient(params)}
+        for rep in reps:
+            counts, n_con = Counter(), 0
+            for n in range(1, x + 1):
+                rec = FactorizationRecord.of(n)
+                val, cop = f_mod(spec, n, q)
+                if cop and keep[rep.filter](rec):
+                    counts[val] += 1
+                    n_con += rec.is_convenient(params)
+            units = [a for a in range(q) if math.gcd(a, q) == 1]
+            assert rep.class_counts == {a: counts[a] for a in units}
+            assert rep.n_coprime == sum(counts.values())
+            assert rep.n_con == n_con
+        assert [r.filter for r in reps] == list(FILTERS)
+
+    def test_no_checkpoints_rejected(self):
+        with pytest.raises(InvalidConfigError, match="no x checkpoints"):
+            run_distribution_multi(_phi_spec(), 5, [])
+
     def test_bad_filter(self):
         with pytest.raises(InvalidConfigError):
             run_distribution(_phi_spec(), 5, 100, J=1, filter_name="p99")
@@ -110,6 +144,10 @@ class TestGrowthFit:
             assert row.log_ratio == pytest.approx(
                 math.log(row.n_coprime / row.pred))
         assert rep.log_ratio_window < 2.0
+
+    def test_no_checkpoints_rejected(self):
+        with pytest.raises(InvalidConfigError, match="no x checkpoints"):
+            growth_fit(_phi_spec(), 5, [])
 
     def test_alpha_zero_declined(self):
         with pytest.raises(InvalidConfigError, match="degenerate"):
@@ -324,6 +362,31 @@ class TestCli:
         capsys.readouterr()
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out) == rows[:50]
+
+    # custom-table needs an explicit table, which the command line cannot give
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--poly", "phi", "--q", "5", "--x", "100", "--J", "1"],
+        ["sieve", "--poly", "phi", "--q", "5", "--x", "100", "--J", "1"],
+        ["scenario", "restricted-a", "--q", "35", "--x", "100"],
+    ])
+    def test_custom_table_rule_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--rule", "custom-table"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'custom-table'" in capsys.readouterr().err
+
+    def test_config_custom_table_rule_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[restricted-a]\nq = 35\nx = 1000\nrule = custom-table\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "custom-table" in err and "euler-like" in err
+        assert not (tmp_path / "wudlab-report.json").exists()
+
+    @pytest.mark.parametrize("rule", [r for r in RULES if r != "custom-table"])
+    def test_cli_rules_accepted(self, rule, capsys):
+        assert main(["dist", "--poly", "phi", "--rule", rule, "--q", "5",
+                     "--x", "100", "--J", "1"]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["sieve", "--poly", "phi", "--q", "5", "--x", "1000", "--J", "1",

@@ -15,6 +15,7 @@ from wudlab.sieve import (
     FIELDS,
     MODULUS_GUARD,
     RULES,
+    SIEVE_GUARD,
     ConvenientParams,
     FactorizationRecord,
     MultiplicativeSpec,
@@ -23,6 +24,7 @@ from wudlab.sieve import (
     iter_segments,
     sieve_range,
 )
+from wudlab.sieve import _reduce_once
 
 
 class TestRules:
@@ -237,6 +239,45 @@ class TestSegments:
             next(segs)
         with pytest.raises(InvalidConfigError, match=r"\(2, 3\)"):
             f_mod(spec, 8, 7)
+
+
+class TestReduction:
+    def test_bound_boundary(self):
+        # omega = 8 at 10^8 (2*3*...*19 <= 10^8 < 2*3*...*23): 234^8 < 2^63 <= 235^8
+        assert _reduce_once(235, 10**8)
+        assert not _reduce_once(236, 10**8)
+        # omega = 7 at 2*10^6: 511^7 < 2^63 = 512^7
+        assert _reduce_once(512, 2 * 10**6)
+        assert not _reduce_once(513, 2 * 10**6)
+        assert _reduce_once(MODULUS_GUARD, 1)  # n = 1 has no prime factor
+
+    def test_dtypes(self, phi_poly):
+        # int32 holds n, smooth, the slots, Omega, A and A* below the guard
+        assert SIEVE_GUARD < 2**31
+        seg = next(iter_segments(MultiplicativeSpec(F=phi_poly), 1, 100, 5))
+        assert seg.fmod.dtype == np.int64
+
+    @pytest.mark.parametrize("q, rule", [
+        (1, "euler-like"), (5, "euler-like"), (5, "polynomial-at-prime-powers"),
+        (235, "euler-like"), (235, "polynomial-at-prime-powers"),
+        (236, "euler-like"), (236, "polynomial-at-prime-powers"),
+        (999983, "polynomial-at-prime-powers"), (10**6, "euler-like"),
+    ])
+    def test_near_guard_matches_reference(self, phi_poly, q, rule):
+        # hi = 10^8 puts q <= 235 on the reduce-once path and q >= 236 on the
+        # per-prime one; T^2 + 123457 has large residues at small primes, so an
+        # unreduced product of four of them would pass 2^63 for q near 10^6
+        F = phi_poly if rule == "euler-like" else IntPoly((123457, 0, 1))
+        spec = MultiplicativeSpec(F=F, rule=rule)
+        for seg in iter_segments(spec, SIEVE_GUARD - 150, SIEVE_GUARD, q, k_slots=3,
+                                 segment_size=64):
+            for i, n in enumerate(range(seg.lo, seg.hi)):
+                rec = FactorizationRecord.of(n)
+                assert (int(seg.fmod[i]), bool(seg.coprime[i])) == f_mod(spec, n, q)
+                assert int(seg.Omega[i]) == rec.Omega
+                assert (int(seg.A[i]), int(seg.Astar[i])) == rec.additive_sums()
+                assert [int(v) for v in seg.slots[:, i]] == [
+                    rec.P(k) if k <= rec.Omega else 0 for k in (1, 2, 3)]
 
 
 # n near prime powers, so that ranges straddle the edges of p^k views
