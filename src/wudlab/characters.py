@@ -93,9 +93,11 @@ def unit_value_logs(F: IntPoly, ell: int, e: int) -> np.ndarray:
     """Discrete logs of the unit values F(v), over unit v mod ell^e in
     increasing order (v with F(v) a non-unit are skipped)."""
     m = ell**e
-    log_table = build_character_table(ell, e).unit_view.log_table
-    logs = log_table[F.eval_mod(np.arange(m, dtype=np.int64)[log_table >= 0], m)]
-    return _read_only(logs[logs >= 0])
+    view = build_character_table(ell, e).unit_view
+    logs = view.log_table[F.eval_mod(np.arange(m, dtype=np.int64)[view.log_table >= 0], m)]
+    # z_chi forms t * log <= (phi - 1)^2: int32 when that fits
+    width = np.int32 if (view.order - 1) ** 2 < 2**31 else np.int64
+    return _read_only(logs[logs >= 0].astype(width))
 
 
 @lru_cache(maxsize=32)
@@ -129,7 +131,9 @@ def z_chi(F: IntPoly, table: CharacterTable, t: int) -> ZChiReport:
     and are cached, so a sweep over all t pays for them once.
     """
     phi = table.phi
-    ks = (t % phi) * unit_value_logs(F, table.ell, table.e) % phi
+    tk = (t % phi) * unit_value_logs(F, table.ell, table.e)
+    # the gather indexes with intp: an int32 index costs numpy a conversion
+    ks = (tk - tk // phi * phi).astype(np.intp, copy=False)
     z = complex(_roots_of_unity(phi)[ks].sum())
     e0 = table.conductor_exponent(t)
     d = _weil_d(F, table.ell)
@@ -141,7 +145,7 @@ def z_chi(F: IntPoly, table: CharacterTable, t: int) -> ZChiReport:
     # conductor-reduced form instead
     applicable = bound if e0 == table.e else bound_cond
     within = abs(z) <= applicable + 1e-9 if binding else None
-    return ZChiReport(t=t % phi, conductor=table.conductor(t), value=z, abs=abs(z),
+    return ZChiReport(t=t % phi, conductor=table.ell**e0, value=z, abs=abs(z),
                       d=d, bound=bound, bound_conductor=bound_cond,
                       binding=binding, within_bound=within)
 
@@ -179,6 +183,12 @@ class CurveCountReport:
 
 
 @lru_cache(maxsize=32)
+def _value_counts(F: IntPoly, ell: int) -> np.ndarray:
+    """c(u) = #{x in F_ell : F(x) = u} for u = 0..ell-1."""
+    return _read_only(np.bincount(F.eval_mod(np.arange(ell, dtype=np.int64), ell), minlength=ell))
+
+
+@lru_cache(maxsize=32)
 def _inverses(ell: int) -> np.ndarray:
     """u^{-1} mod ell for u = 1..ell-1 (ell must be prime)."""
     if not is_prime(ell):
@@ -189,15 +199,14 @@ def _inverses(ell: int) -> np.ndarray:
 def curve_point_count(F: IntPoly, ell: int, w: int) -> CurveCountReport:
     """#{(x, y) in F_ell^2 : F(x) F(y) = w} for unit w, by value bucketing.
 
-    One pass buckets the value distribution of F over F_ell; the pair count
-    is then a sum over unit values u of c(u) c(u^{-1} w). The comparator is
-    the Hasse-Weil shape ell + 1 + (2D-1)(2D-2) floor(2 sqrt(ell)) / 2.
+    The value distribution c of F over F_ell is bucketed once per (F, ell)
+    and cached; the pair count is then a sum over unit values u of
+    c(u) c(u^{-1} w). The comparator is the Hasse-Weil shape
+    ell + 1 + (2D-1)(2D-2) floor(2 sqrt(ell)) / 2.
     """
     if w % ell == 0:
         raise InvalidConfigError("w must be a unit mod ell (w = 0 is out of scope)")
-    x = np.arange(ell, dtype=np.int64)
-    vals = F.eval_mod(x, ell)
-    c = np.bincount(vals, minlength=ell)
+    c = _value_counts(F, ell)
     w %= ell
     # c(u) c(w/u) over u = 1..ell-1; the sum is at most ell^2, exact in int64
     count = int(np.dot(c[1:], c[w * _inverses(ell) % ell]))

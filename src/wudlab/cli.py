@@ -225,11 +225,16 @@ def _cmd_dist(args) -> None:
         _emit(rep.rows(), args)
 
 
-_CONFIG_KEYS = {"scenario", "polynomial", "rule", "x", "q", "q1", "D"}
+# configparser lowercases option names, so the key D arrives as d
+_CONFIG_KEYS = {"scenario", "polynomial", "rule", "x", "q", "q1", "d"}
+_INT_KEYS = {"x", "q", "q1", "d"}
+_PARAM_NAMES = {"polynomial": "poly", "d": "D"}  # INI key -> scenario parameter
 
 
 def _run_config(path: Path, args) -> None:
-    """Each INI section describes one scenario run; unknown keys are errors."""
+    """Each INI section describes one scenario run; unknown keys are errors,
+    and every given key reaches the scenario, which rejects one it does not
+    take."""
     cp = configparser.ConfigParser()
     if not path.exists():
         raise InvalidConfigError(f"config file {path} not found")
@@ -242,18 +247,12 @@ def _run_config(path: Path, args) -> None:
             raise InvalidConfigError(
                 f"unknown config keys in [{section}]: {sorted(unknown)}"
             )
-        name = kv.get("scenario", section)
-        params = {}
-        for key in ("x", "q", "q1", "D"):
-            if key in kv:
-                params[key] = int(kv[key])
-        if name in ("restricted-a", "restricted-b"):
-            if "polynomial" in kv:
-                params["poly"] = kv["polynomial"]
-            if kv.setdefault("rule", "euler-like") not in CLI_RULES:
-                raise InvalidConfigError(f"[{section}] rule {kv['rule']!r} not in {CLI_RULES}")
-            params["rule"] = kv["rule"]
-        reports.append(run_scenario(name, **params))
+        name = kv.pop("scenario", section)
+        if kv.get("rule", "euler-like") not in CLI_RULES:
+            raise InvalidConfigError(f"[{section}] rule {kv['rule']!r} not in {CLI_RULES}")
+        reports.append(run_scenario(name, **{
+            _PARAM_NAMES.get(key, key): int(val) if key in _INT_KEYS else val
+            for key, val in kv.items()}))
     fmt = args.format
     out = args.out / f"wudlab-report.{fmt}"
     args.out.mkdir(parents=True, exist_ok=True)

@@ -109,7 +109,8 @@ def alpha(F: IntPoly, q: FactoredModulus | int) -> DensityProfile:
     if isinstance(q, int):
         q = factor(q)
     locs = tuple(_local_density(F, ell, e) for ell, e in q.factors)
-    a = math.prod((local.alpha_local for local in locs), start=Fraction(1))
+    a = Fraction(math.prod(ld.ell - 1 - ld.nu for ld in locs),
+                 math.prod(ld.ell - 1 for ld in locs))
     lb = (math.log(math.log(3 * q.q))) ** (-F.degree) if q.q >= 1 else 1.0
     return DensityProfile(q=q, alpha=a, locals=locs, lower_bound_ref=lb)
 

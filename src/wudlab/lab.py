@@ -284,8 +284,9 @@ def run_additive(q: int, x: int, scenario: str = "additive") -> AdditiveReport:
     counts_a = np.zeros(q, dtype=np.int64)
     counts_s = np.zeros(q, dtype=np.int64)
     for seg in iter_segments(spec, 1, x, q, k_slots=0, fields=("A", "Astar")):
-        counts_a += np.bincount(seg.A % q, minlength=q)
-        counts_s += np.bincount(seg.Astar % q, minlength=q)
+        # x - x // q * q is x % q for either sign; numpy's scalar // is the cheap one
+        counts_a += np.bincount(seg.A - seg.A // q * q, minlength=q)
+        counts_s += np.bincount(seg.Astar - seg.Astar // q * q, minlength=q)
     exp = x / q
     dev_a = float(np.max(np.abs(counts_a / exp - 1.0)))
     dev_s = float(np.max(np.abs(counts_s / exp - 1.0)))
@@ -331,11 +332,7 @@ def run_scenario(name: str, **params) -> ScenarioReport:
     if name in ("restricted-a", "restricted-b"):
         return _scenario_restricted(name, **params)
     if name == "additive":
-        rep = run_additive(int(params["q"]), int(params["x"]))
-        return ScenarioReport(name=name, reports=(rep,), summary={
-            "max_rel_dev_a": rep.max_rel_dev_a,
-            "max_rel_dev_astar": rep.max_rel_dev_astar,
-        })
+        return _scenario_additive(**params)
     raise InvalidConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
 
 
@@ -392,6 +389,15 @@ def _scenario_restricted(name: str, poly: str = "phi", rule: str = "euler-like",
         "discrepancy_unfiltered": unfiltered.discrepancy,
         "discrepancy_filtered": filtered.discrepancy,
         "filtered_not_worse": filtered.discrepancy <= unfiltered.discrepancy,
+    })
+
+
+def _scenario_additive(q: int = 4, x: int = 10**6, **extra) -> ScenarioReport:
+    _reject_extra(extra)
+    rep = run_additive(int(q), int(x))
+    return ScenarioReport(name="additive", reports=(rep,), summary={
+        "max_rel_dev_a": rep.max_rel_dev_a,
+        "max_rel_dev_astar": rep.max_rel_dev_astar,
     })
 
 

@@ -115,7 +115,7 @@ def factor(n: int) -> FactoredModulus:
         p += wheel[i]
         i = (i + 1) % 8
     if m > 1:
-        if is_prime(m):
+        if p * p > m or is_prime(m):  # the loop ran past sqrt(m): m is prime
             factors.append((m, 1))
         else:
             # Cofactor with all prime factors >= 10^6: at most two of them

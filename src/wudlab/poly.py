@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from wudlab.errors import InvalidConfigError
 from wudlab.number_core import primes_upto
 
@@ -137,10 +139,15 @@ class IntPoly:
         """Horner evaluation of F(v) mod m, result in [0, m).
 
         v is a Python int (any size), or an int64 array of residues in
-        [0, m) with m^2 < 2^63. Each coefficient is reduced mod m before it
-        enters. An array is reduced mod m only when an exact bound on the
-        next intermediate reaches 2^63, and once at the end, so it never
-        wraps, whatever the size of the coefficients.
+        [0, m) with m^2 < 2^63; the array result is int64. Each coefficient
+        is reduced mod m before it enters. An array is reduced mod m only
+        when an exact bound on the next intermediate reaches the limit of
+        its width, and once at the end, so it never wraps, whatever the size
+        of the coefficients. After a reduction the next step is at most
+        (m - 1)^2 + (m - 1) = (m - 1) m, so the loop runs in int32 with limit
+        2^31 when (m - 1) m < 2^31 (m <= 46341) and reduces there by
+        x - x // m * m (numpy's scalar floor-divide is the cheap one);
+        otherwise it runs in int64 with limit 2^63 and reduces by %.
         """
         if m < 1:
             raise InvalidConfigError(f"modulus must be >= 1, got {m}")
@@ -149,13 +156,19 @@ class IntPoly:
             for c in reversed(self.coeffs):
                 acc = (acc * v + c % m) % m
             return acc
+        narrow = (m - 1) * m < 2**31
+        limit, v = (2**31, v.astype(np.int32)) if narrow else (2**63, v)
+
+        def reduce(x):
+            return x - x // m * m if narrow else x % m
+
         bound = 0  # every entry of acc is in [0, bound]
         for c in reversed(self.coeffs):
             c %= m
-            if bound * (m - 1) + c >= 2**63:
-                acc, bound = acc % m, m - 1
+            if bound * (m - 1) + c >= limit:
+                acc, bound = reduce(acc), m - 1
             acc, bound = acc * v + c, bound * (m - 1) + c
-        return acc % m
+        return reduce(acc).astype(np.int64, copy=False)
 
     def __str__(self) -> str:
         terms = []

@@ -88,9 +88,12 @@ def _v_double_brute_all(F: IntPoly, q: int, J: int) -> np.ndarray:
         raise GuardExceededError(
             f"brute tuple enumeration {vals.size}^{J} exceeds guard {BRUTE_GUARD}"
         )
-    prods = np.array([1 % q], dtype=np.int64)
+    # a product of two residues is at most (q - 1)^2: int32 when that fits
+    prods = np.array([1 % q], dtype=np.int32 if (q - 1) ** 2 < 2**31 else np.int64)
+    vals = vals.astype(prods.dtype)
     for _ in range(J):
-        prods = (prods[:, None] * vals[None, :] % q).ravel()
+        prods = (prods[:, None] * vals[None, :]).ravel()
+        prods -= prods // q * q
     return np.bincount(prods, minlength=q)
 
 

@@ -10,9 +10,11 @@ import pytest
 
 from wudlab.characters import (
     CharacterTable,
+    _value_counts,
     build_character_table,
     curve_point_count,
     ramanujan_sum,
+    unit_value_logs,
     z_chi,
     z_chi_principal_exact,
 )
@@ -138,10 +140,11 @@ class TestZChiBitIdentity:
 
     @staticmethod
     def _direct(F, table, t):
-        """The uncached sum: evaluate F on every unit, one exp per term."""
+        """The uncached sum: evaluate F on every unit in Python ints (not
+        through eval_mod), one exp per term."""
         m, phi = table.modulus, table.phi
         log_table = table.unit_view.log_table
-        logs = log_table[F.eval_mod(np.arange(m, dtype=np.int64)[log_table >= 0], m)]
+        logs = log_table[[F.eval_int(v) % m for v in range(m) if log_table[v] >= 0]]
         ks = (t % phi) * logs[logs >= 0] % phi
         return complex(np.exp(2j * np.pi * ks / phi).sum())
 
@@ -156,12 +159,23 @@ class TestZChiBitIdentity:
                 if t >= table.phi:
                     continue
                 for F in self.PANEL:
-                    got = z_chi(F, table, t).value
+                    rep = z_chi(F, table, t)
+                    got = rep.value
                     assert got == self._direct(F, table, t), (F, table.modulus, t)
+                    assert rep.conductor == table.conductor(t)
                     if t == 0:
                         principal.setdefault(table.modulus, set()).add(got)
         # the panel's sums differ, so one cache entry shared by two F fails
         assert all(len(sums) > 1 for sums in principal.values())
+
+    # phi = 46336 keeps int32 logs ((phi - 1)^2 < 2^31); phi = 46348 does not
+    @pytest.mark.parametrize("ell, width", [(46337, np.int32), (46349, np.int64)])
+    def test_log_width_boundary(self, ell, width):
+        table = build_character_table(ell, 1)
+        for F in (IntPoly((1, 0, 1)), IntPoly((3, -2, 0, 5, 1))):
+            assert unit_value_logs(F, ell, 1).dtype == width
+            for t in (1, 2, table.phi // 2, table.phi - 2, table.phi - 1):
+                assert z_chi(F, table, t).value == self._direct(F, table, t), (F, ell, t)
 
 
 class TestRamanujan:
@@ -210,6 +224,18 @@ class TestCurveCount:
         rep = curve_point_count(quad_poly, 11, 3)
         assert rep.hasse_weil_bound == 30  # 11 + 1 + 3 * 2 * floor(2 sqrt 11) / 2
         assert rep.count <= 30
+
+    def test_value_counts_keyed_on_f_and_ell(self, poly_panel):
+        # two F alternate on one ell: a cache keyed on ell alone returns the
+        # other polynomial's histogram
+        phi_poly, _, quad_poly = poly_panel
+        for _ in range(2):
+            for ell in (7, 13):
+                for F in (phi_poly, quad_poly):
+                    want = Counter(F.eval_int(x) % ell for x in range(ell))
+                    assert _value_counts(F, ell).tolist() == [want[u] for u in range(ell)]
+                    pairs = Counter(a * b % ell for a in want.elements() for b in want.elements())
+                    assert curve_point_count(F, ell, 2).count == pairs[2], (F, ell)
 
     def test_matches_pair_enumeration(self, poly_panel):
         for F in poly_panel + [IntPoly((3, -2, 0, 5, 1))]:

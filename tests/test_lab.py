@@ -383,6 +383,40 @@ class TestCli:
         assert "custom-table" in err and "euler-like" in err
         assert not (tmp_path / "wudlab-report.json").exists()
 
+    # configparser lowercases option names; the key D must still reach D
+    def test_config_key_d_reaches_scenario(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[c]\nscenario = counterexample-ii\nD = 3\nq1 = 5\nx = 1000\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
+        report = json.loads((tmp_path / "wudlab-report.json").read_text())
+        assert report[0]["summary"]["D"] == 3 and report[0]["summary"]["q"] == 125
+
+    # a key the section's scenario does not take exits 2 and is named
+    @pytest.mark.parametrize("section, key, value, param", [
+        ("counterexample-ii", "polynomial", "sigma", "poly"),
+        ("counterexample-ii", "rule", "completely-multiplicative", "rule"),
+        ("counterexample-i", "q", "35", "q"),
+        ("additive", "polynomial", "sigma", "poly"),
+        ("additive", "D", "3", "D"),
+        ("restricted-b", "q1", "5", "q1"),
+    ])
+    def test_config_key_not_taken_exit_2(self, tmp_path, capsys, section, key, value, param):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\nx = 1000\n{key} = {value}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"unknown scenario parameters: ['{param}']" in capsys.readouterr().err
+        assert not (tmp_path / "wudlab-report.json").exists()
+
+    def test_config_keys_reach_restricted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[restricted-b]\nq = 35\nx = 1000\npolynomial = sigma\n"
+                       "rule = completely-multiplicative\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
+        report = json.loads((tmp_path / "wudlab-report.json").read_text())
+        want = run_scenario("restricted-b", q=35, x=1000, poly="sigma",
+                            rule="completely-multiplicative").to_json_dict()
+        assert report[0] == json.loads(json.dumps(want))
+
     @pytest.mark.parametrize("rule", [r for r in RULES if r != "custom-table"])
     def test_cli_rules_accepted(self, rule, capsys):
         assert main(["dist", "--poly", "phi", "--rule", rule, "--q", "5",

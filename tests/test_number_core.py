@@ -1,12 +1,14 @@
 """Foundation layer: factorization, CRT, unit groups, progression sums."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wudlab import number_core
 from wudlab.errors import GuardExceededError, InvalidConfigError
 from wudlab.number_core import (
     FactoredModulus,
@@ -43,6 +45,37 @@ class TestFactor:
     def test_semiprime_above_trial_limit(self):
         p, r = 10**9 + 7, 10**9 + 9
         assert factor(p * r).factors == ((p, 1), (r, 1))
+
+    def test_every_n_below_2e5(self):
+        # against a smallest-prime-factor sieve, an oracle with no trial loop
+        N = 2 * 10**5
+        spf = np.zeros(N + 1, dtype=np.int64)
+        for p in range(N, 1, -1):
+            spf[p::p] = p
+        for n in range(1, N + 1):
+            want, m = Counter(), n
+            while m > 1:
+                want[int(spf[m])] += 1
+                m //= int(spf[m])
+            assert factor(n).factors == tuple(sorted(want.items())), n
+
+    @pytest.mark.parametrize("p, r", [(1000003, 1000033), (1000003, 1000003),
+                                      (1000037, 1000039), (999983, 1000003)])
+    def test_semiprimes_past_trial_limit(self, p, r):
+        # a cofactor left when the loop hits the trial limit needs Miller-Rabin
+        want = ((p, 2),) if p == r else ((p, 1), (r, 1))
+        assert factor(p * r).factors == want
+        assert factor(6 * p * r).factors == ((2, 1), (3, 1), *want)
+
+    def test_cofactor_past_sqrt_is_prime_without_miller_rabin(self, monkeypatch):
+        # the loop stopped at p * p > m, so the cofactor m is prime
+        def no_test(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(number_core, "is_prime", no_test)
+        assert factor(2 * 3 * 999983).factors == ((2, 1), (3, 1), (999983, 1))
+        assert factor(7**3 * 997).factors == ((7, 3), (997, 1))
+        assert factor(49).factors == ((7, 2),)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidConfigError):

@@ -81,6 +81,26 @@ class TestEval:
         assert F.eval_mod(arr, m).tolist() == expected
         assert [F.eval_mod(int(v), m) for v in arr] == expected
 
+    # the loop runs in int32 exactly when (m - 1) m < 2^31, that is m <= 46341;
+    # coefficients = -1 mod m and v = m - 1 put every step at its bound
+    @given(
+        st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=7),
+        st.one_of(st.sampled_from([46340, 46341, 46342]), st.integers(1, 10**6)),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=20),
+    )
+    @example([-1] * 7, 46341, [46340, 46339, 0])
+    @example([-1] * 7, 46342, [46341, 46340, 0])
+    @example([-1] * 7, 1291, [1290])  # step 3 reaches 1290 (1290 * 1291 + 1) > 2^31
+    @settings(max_examples=300)
+    def test_width_boundary(self, coeffs, m, vs):
+        if coeffs[-1] == 0:
+            coeffs[-1] = 1
+        F = IntPoly(tuple(coeffs))
+        arr = np.array([v % m for v in vs], dtype=np.int64)
+        got = F.eval_mod(arr, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [F.eval_int(int(v)) % m for v in arr]
+
     def test_derivative(self):
         assert IntPoly((1, 0, 1)).derivative.coeffs == (0, 2)
         assert IntPoly((5, -3, 0, 2)).derivative.coeffs == (-3, 0, 6)

@@ -5,12 +5,13 @@ import math
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wudlab.errors import ConsistencyError, InvalidConfigError
-from wudlab.number_core import factor
+from wudlab.number_core import crt_solve, factor
 from wudlab.poly import IntPoly
 from wudlab.tuples import (
     _v_double_brute_all,
@@ -181,6 +182,55 @@ class TestVDouble:
                 continue
             assert count_v_double(F, ell**e, J, w, method="linear") \
                 == count_v_double(F, ell**e, J, w, method="brute")
+
+
+class TestBruteWidth:
+    """The product table runs in int32 when (q - 1)^2 < 2^31; an int64 table
+    reduced by % is the reference."""
+
+    @staticmethod
+    def _int64_table(F, q, J):
+        vals = [F.eval_int(v) % q for v in range(q) if math.gcd(v, q) == 1]
+        vals = np.array([x for x in vals if math.gcd(x, q) == 1], dtype=np.int64)
+        prods = np.array([1 % q], dtype=np.int64)
+        for _ in range(J):
+            prods = (prods[:, None] * vals[None, :] % q).ravel()
+        return np.bincount(prods, minlength=q)
+
+    @pytest.mark.parametrize("q", [3, 5, 9, 15, 25, 27, 35, 45, 49])
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    def test_int32_matches_int64(self, poly_panel, q, J):
+        for F in poly_panel + [IntPoly((3, -2, 0, 5, 1))]:
+            got = _v_double_brute_all(F, q, J)
+            assert got.tolist() == self._int64_table(F, q, J).tolist(), (F, q, J)
+
+    def test_int64_table_past_width_bound(self):
+        # q = 3 * 5 * ... * 17 > 46341 and F = -2 prod_{r=1}^{ell-2} (T - r) *
+        # T^(17-ell) mod each ell, so only v = -1 gives a unit value, u = -2
+        # by Wilson's theorem: one good value, the guard admits any J, and
+        # u * u passes 2^31
+        ells = (3, 5, 7, 11, 13, 17)
+        q = math.prod(ells)
+        local = []
+        for ell in ells:
+            c = [0] * (17 - ell) + [-2 % ell]
+            for r in range(1, ell - 1):
+                c = [(a - r * b) % ell for a, b in zip([0] + c, c + [0])]
+            local.append(c)
+        F = IntPoly(tuple(crt_solve([(c[k], ell) for c, ell in zip(local, ells)])[0]
+                          for k in range(16)))
+        u = q - 2
+        assert F.eval_int(q - 1) % q == u and u * u >= 2**31
+        for J in (2, 3):
+            got = _v_double_brute_all(F, q, J)
+            assert got.tolist() == self._int64_table(F, q, J).tolist()
+            assert got[pow(u, J, q)] == 1 and got.sum() == 1
+
+    # 46337 is the largest prime below the int32 bound, 46349 the first above
+    @pytest.mark.parametrize("q", [46337, 46349])
+    def test_prime_at_width_boundary(self, quad_poly, q):
+        got = _v_double_brute_all(quad_poly, q, 1)
+        assert got.tolist() == self._int64_table(quad_poly, q, 1).tolist()
 
 
 class TestInclusionExclusion:
