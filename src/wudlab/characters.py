@@ -68,8 +68,7 @@ class CharacterTable:
         raise ConsistencyError("character must factor through its own modulus")
 
     def conductor(self, t: int) -> int:
-        e0 = self.conductor_exponent(t)
-        return self.ell**e0 if e0 else 1
+        return self.ell ** self.conductor_exponent(t)
 
     def order_of(self, t: int) -> int:
         return self.phi // math.gcd(t % self.phi, self.phi)
