@@ -250,9 +250,14 @@ def _run_config(path: Path, args) -> None:
         name = kv.pop("scenario", section)
         if kv.get("rule", "euler-like") not in CLI_RULES:
             raise InvalidConfigError(f"[{section}] rule {kv['rule']!r} not in {CLI_RULES}")
-        reports.append(run_scenario(name, **{
-            _PARAM_NAMES.get(key, key): int(val) if key in _INT_KEYS else val
-            for key, val in kv.items()}))
+        for key in _INT_KEYS & set(kv):
+            try:
+                kv[key] = int(kv[key])
+            except ValueError:
+                raise InvalidConfigError(f"[{section}] {_PARAM_NAMES.get(key, key)} = "
+                                         f"{kv[key]!r} is not an integer") from None
+        reports.append(run_scenario(name, **{_PARAM_NAMES.get(key, key): val
+                                             for key, val in kv.items()}))
     fmt = args.format
     out = args.out / f"wudlab-report.{fmt}"
     args.out.mkdir(parents=True, exist_ok=True)

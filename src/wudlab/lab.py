@@ -4,6 +4,18 @@ additive-function runs, and CSV/JSON report emission.
 
 One sieve pass can serve several x checkpoints and several filters; all
 counts are exact and deterministic for a fixed configuration.
+
+A census (run_distribution_multi, run_additive) cuts [1, x] into contiguous
+shares with equal numbers of n: one per CPU in the affinity mask, but at
+most x // MIN_SHARE, since below about MIN_SHARE integers a share sieves
+faster than a fork and the wait for its child. The caller sieves share 0
+and a child made by os.fork each other share, sending its exact int64
+counts back pickled over a pipe; the parent sums them in share order, so
+the reports do not depend on the split. A child's exception is re-raised
+in share order, a child that dies raises ConsistencyError, and no child
+outlives the call. Forking needs os.fork, os.sched_getaffinity and no
+other running thread (a forked child holds a copy of one thread only);
+otherwise the census runs inline as one share.
 """
 
 from __future__ import annotations
@@ -11,6 +23,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -18,10 +33,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from wudlab.density import alpha
-from wudlab.errors import ConsistencyError, InvalidConfigError
+from wudlab.density import DensityProfile, alpha
+from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
 from wudlab.poly import IntPoly, parse_poly
 from wudlab.sieve import (
+    SIEVE_GUARD,
     ConvenientParams,
     MultiplicativeSpec,
     SegmentData,
@@ -34,6 +50,8 @@ SCHEMA_VERSION = 1
 FILTERS = ("none", "pD2-rough", "p2-rough", "convenient-only")
 
 CSV_COLUMNS = ("scenario", "spec", "x", "q", "a", "count", "expected", "ratio")
+
+MIN_SHARE = 1 << 18  # fewest n per census share: the measured fork crossover
 
 
 @dataclass(frozen=True)
@@ -89,7 +107,8 @@ class DistributionReport:
 
 
 class _DistributionAccumulator:
-    """Streams segments, keeping exact per-class and convenient-split counts."""
+    """Exact per-class and convenient-split counts of one filter: add takes a
+    segment, merge the counts of a range another accumulator has added."""
 
     def __init__(self, spec: MultiplicativeSpec, q: int, filter_name: str = "none",
                  scenario: str = "dist"):
@@ -100,10 +119,8 @@ class _DistributionAccumulator:
         self.q = q
         self.filter_name = filter_name
         self.scenario = scenario
-        self.units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
         self.class_counts = np.zeros(q, dtype=np.int64)  # every class; only units are read
         self.n_con = 0
-        self.profile = alpha(spec.F, q)
 
     def _filter_mask(self, seg: SegmentData, convenient: np.ndarray) -> np.ndarray | None:
         if self.filter_name == "none":
@@ -123,24 +140,30 @@ class _DistributionAccumulator:
                                          minlength=self.q)
         self.n_con += int(np.count_nonzero(con if mask is None else con & mask))
 
-    def snapshot(self, x: int) -> DistributionReport:
-        counts = {a: int(self.class_counts[a]) for a in self.units}
-        phi_q = len(self.units)
+    def merge(self, counts: np.ndarray, n_con: int) -> None:
+        self.class_counts += counts
+        self.n_con += n_con
+
+    def snapshot(self, x: int, profile: DensityProfile) -> DistributionReport:
+        """The report at x, with profile = alpha(spec.F, q)."""
+        units = np.flatnonzero(np.gcd(np.arange(self.q), self.q) == 1)  # [0] for q = 1
+        counts = {int(a): int(self.class_counts[a]) for a in units}
+        phi_q = len(units)
         n_coprime = sum(counts.values())
         if n_coprime:
-            freqs = np.array([counts[a] for a in self.units], dtype=np.float64)
+            freqs = self.class_counts[units].astype(np.float64)
             freqs *= phi_q / n_coprime
             disc = float(np.max(np.abs(freqs - 1.0)))
             tv = 0.5 * float(np.sum(np.abs(freqs - 1.0))) / phi_q
         else:
             disc = tv = 0.0
-        a = float(self.profile.alpha)
+        a = float(profile.alpha)
         pred = x / math.log(x) ** (1 - a) if x > 1 else float(x)
         return DistributionReport(
             spec=self.spec.label(), scenario=self.scenario, x=x, q=self.q,
             filter=self.filter_name, class_counts=counts,
             n_coprime=n_coprime, n_con=self.n_con,
-            n_inc=n_coprime - self.n_con, alpha=self.profile.alpha,
+            n_inc=n_coprime - self.n_con, alpha=profile.alpha,
             discrepancy=disc, tv_distance=tv, growth_pred=pred,
         )
 
@@ -151,6 +174,83 @@ def _k_slots(spec: MultiplicativeSpec, params: ConvenientParams,
     if "pD2-rough" in filter_names:
         k = max(k, spec.F.degree + 2)
     return k
+
+
+def _run_child(census, lo: int, hi: int, w: int) -> None:
+    """Send census(lo, hi), or the exception it raised, pickled down the pipe
+    w, and exit: a forked child never returns into its caller's code."""
+    status = 1
+    try:
+        try:
+            out = census(lo, hi)
+        except Exception as exc:  # no census result is an exception
+            out = exc
+        with open(w, "wb") as fh:
+            fh.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(census, q: int, x: int) -> list:
+    """census(lo, hi) for each share of [1, x], in share order; see the
+    module docstring. The guards run before the first fork."""
+    check_modulus(q)
+    if x > SIEVE_GUARD:
+        raise GuardExceededError(f"sieve guard {SIEVE_GUARD} exceeded by hi={x}")
+    if x < 1:
+        raise InvalidConfigError("x must be >= 1")
+    n_shares = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+            and threading.active_count() == 1:
+        n_shares = max(1, min(len(os.sched_getaffinity(0)), x // MIN_SHARE))
+    cuts = [x * i // n_shares for i in range(n_shares + 1)]  # share i: (cuts[i], cuts[i + 1]]
+    pids, pipes = [], []  # shares 1, 2, ...: the child and the read end of its pipe
+    try:
+        for i in range(1, n_shares):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    _run_child(census, cuts[i] + 1, cuts[i + 1], w)
+                pids.append(pid)
+            finally:
+                os.close(w)  # the child's copy is now the only write end
+        results = [census(1, cuts[1])]
+        for i, fh in enumerate(pipes, 1):
+            try:
+                out = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                raise ConsistencyError(f"census share {i} [{cuts[i] + 1}, {cuts[i + 1]}] "
+                                       "ended without a result") from None
+            if isinstance(out, Exception):
+                raise out
+            results.append(out)
+        return results
+    finally:
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL; a child that has sent its result has nothing left to do
+            os.waitpid(pid, 0)
+
+
+def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int],
+            k_slots: int, params: ConvenientParams,
+            filter_names: Sequence[str]) -> list[tuple[int, list[tuple[np.ndarray, int]]]]:
+    """The class counts and n_con of each filter over [lo, hi], in pieces
+    (end, [(class_counts, n_con) per filter]): one ending at each checkpoint
+    of xs in [lo, hi) and one ending at hi, each counting only its own n."""
+    pieces = []
+    for end in [x for x in xs if lo <= x < hi] + [hi]:
+        accs = [_DistributionAccumulator(spec, q, f) for f in filter_names]
+        for seg in iter_segments(spec, lo, end, q, k_slots=k_slots, fields=("fmod",)):
+            convenient = seg.convenient(params)
+            for acc in accs:
+                acc.add(seg, convenient)
+        pieces.append((end, [(acc.class_counts, acc.n_con) for acc in accs]))
+        lo = end + 1
+    return pieces
 
 
 def run_distribution(spec: MultiplicativeSpec, q: int, x: int, *,
@@ -169,25 +269,21 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
                            scenario: str = "dist") -> list[DistributionReport]:
     """One sieve pass shared across increasing x checkpoints and filters."""
     xs = sorted(set(int(x) for x in xs))
+    filter_names = tuple(filter_names)  # read by the accumulators, _k_slots and each share
     if not xs or xs[0] < 1:
         raise InvalidConfigError("x must be >= 1" if xs else "no x checkpoints given")
-    x_max = xs[-1]
-    params = ConvenientParams.from_x(x_max, delta=delta, J=J if J is not None else 1)
+    params = ConvenientParams.from_x(xs[-1], delta=delta, J=J if J is not None else 1)
     accs = [_DistributionAccumulator(spec, q, f, scenario) for f in filter_names]
+    profile = alpha(spec.F, q)
+    k_slots = _k_slots(spec, params, filter_names)
     reports: list[DistributionReport] = []
-    checkpoints = list(xs)
-    lo = 1
-    for x in checkpoints:
-        if x >= lo:
-            for seg in iter_segments(spec, lo, x, q,
-                                     k_slots=_k_slots(spec, params, filter_names),
-                                     fields=("fmod",)):
-                convenient = seg.convenient(params)
-                for acc in accs:
-                    acc.add(seg, convenient)
-            lo = x + 1
-        for acc in accs:
-            reports.append(acc.snapshot(x))
+    for pieces in _fan_out(lambda lo, hi: _census(spec, q, lo, hi, xs, k_slots, params,
+                                                  filter_names), q, xs[-1]):
+        for end, counts in pieces:
+            for acc, (class_counts, n_con) in zip(accs, counts):
+                acc.merge(class_counts, n_con)
+            if end in xs:
+                reports += [acc.snapshot(end, profile) for acc in accs]
     return reports
 
 
@@ -275,18 +371,22 @@ class AdditiveReport:
         }
 
 
-def run_additive(q: int, x: int, scenario: str = "additive") -> AdditiveReport:
-    """Census of A(n) and A*(n) mod q; expected x/q in every class."""
-    check_modulus(q)
-    if x < 1:
-        raise InvalidConfigError("x must be >= 1")
+def _additive_census(q: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class counts of A(n) and A*(n) mod q over lo <= n <= hi."""
     spec = MultiplicativeSpec(F=IntPoly((-1, 1)))  # never evaluated: f is not asked for
     counts_a = np.zeros(q, dtype=np.int64)
     counts_s = np.zeros(q, dtype=np.int64)
-    for seg in iter_segments(spec, 1, x, q, k_slots=0, fields=("A", "Astar")):
+    for seg in iter_segments(spec, lo, hi, q, k_slots=0, fields=("A", "Astar")):
         # x - x // q * q is x % q for either sign; numpy's scalar // is the cheap one
         counts_a += np.bincount(seg.A - seg.A // q * q, minlength=q)
         counts_s += np.bincount(seg.Astar - seg.Astar // q * q, minlength=q)
+    return counts_a, counts_s
+
+
+def run_additive(q: int, x: int, scenario: str = "additive") -> AdditiveReport:
+    """Census of A(n) and A*(n) mod q; expected x/q in every class."""
+    shares = _fan_out(lambda lo, hi: _additive_census(q, lo, hi), q, x)
+    counts_a, counts_s = (sum(counts) for counts in zip(*shares))
     exp = x / q
     dev_a = float(np.max(np.abs(counts_a / exp - 1.0)))
     dev_s = float(np.max(np.abs(counts_s / exp - 1.0)))

@@ -81,8 +81,10 @@ def count_v_prime(F: IntPoly, q: FactoredModulus | int, J: int,
     return VPrimeReport(q=q.q, J=J, formula=formula, brute=brute)
 
 
+@lru_cache(maxsize=8)  # one table of q counts answers every target w
 def _v_double_brute_all(F: IntPoly, q: int, J: int) -> np.ndarray:
-    """V''(w) for every w, by explicit product enumeration (flat array build)."""
+    """V''(w) for every w, by explicit product enumeration (flat array
+    build); read-only, since the cache shares it."""
     vals = _good_values(F, q)
     if vals.size**J > BRUTE_GUARD:
         raise GuardExceededError(
@@ -94,7 +96,9 @@ def _v_double_brute_all(F: IntPoly, q: int, J: int) -> np.ndarray:
     for _ in range(J):
         prods = (prods[:, None] * vals[None, :]).ravel()
         prods -= prods // q * q
-    return np.bincount(prods, minlength=q)
+    table = np.bincount(prods, minlength=q)
+    table.flags.writeable = False
+    return table
 
 
 def _pack(c: np.ndarray, width: int) -> int:

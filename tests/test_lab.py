@@ -1,17 +1,24 @@
 """Experiment orchestration: distribution runs, scenarios, exports, CLI."""
 
+import contextlib
 import csv
 import json
 import math
+import os
+import signal
+import threading
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wudlab import tuples
+from wudlab import lab, tuples
 from wudlab.cli import main
-from wudlab.errors import ConsistencyError, InvalidConfigError
+from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
 from wudlab.lab import (
     CSV_COLUMNS,
     FILTERS,
@@ -25,6 +32,7 @@ from wudlab.lab import (
 )
 from wudlab.sieve import (
     RULES,
+    SIEVE_GUARD,
     ConvenientParams,
     FactorizationRecord,
     MultiplicativeSpec,
@@ -120,6 +128,13 @@ class TestDistribution:
         with pytest.raises(InvalidConfigError, match="no x checkpoints"):
             run_distribution_multi(_phi_spec(), 5, [])
 
+    def test_filters_read_once(self):
+        # every share builds its own accumulators from the filter names
+        want = run_distribution_multi(_phi_spec(), 35, [2000], J=1,
+                                      filter_names=["none", "pD2-rough"])
+        assert run_distribution_multi(_phi_spec(), 35, [2000], J=1,
+                                      filter_names=iter(["none", "pD2-rough"])) == want
+
     def test_bad_filter(self):
         with pytest.raises(InvalidConfigError):
             run_distribution(_phi_spec(), 5, 100, J=1, filter_name="p99")
@@ -180,6 +195,140 @@ class TestAdditiveRun:
     def test_x_below_one_rejected(self, x):
         with pytest.raises(InvalidConfigError, match="x must be >= 1"):
             run_additive(4, x)
+
+
+@contextlib.contextmanager
+def _shares(n: int, min_share: int = 64):
+    """Censuses in this block split [1, x] into n shares of at least
+    min_share integers each, whatever CPUs this machine has."""
+    with mock.patch.object(lab, "MIN_SHARE", min_share), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)),
+                              create=True):
+        yield
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int = 60):
+    """Fail, instead of hanging, when a wait on a child never returns."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no census result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_forbidden():
+    return mock.patch.object(os, "fork", side_effect=AssertionError("os.fork called"))
+
+
+_SPLIT_RULES = [r for r in RULES if r != "custom-table"]
+
+
+class TestFanOut:
+    @given(coeffs=st.lists(st.integers(-9, 9), min_size=2, max_size=4)
+           .filter(lambda c: c[-1] != 0),
+           rule=st.sampled_from(_SPLIT_RULES), q=st.integers(1, 1000),
+           xs=st.lists(st.integers(1, 3000), min_size=1, max_size=4),
+           filters=st.lists(st.sampled_from(FILTERS), min_size=1, max_size=3),
+           n=st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_split_equals_one_share(self, coeffs, rule, q, xs, filters, n):
+        spec = MultiplicativeSpec(F=IntPoly(tuple(coeffs)), rule=rule)
+        one = run_distribution_multi(spec, q, xs, J=1, filter_names=filters)
+        with _shares(n):
+            split = run_distribution_multi(spec, q, xs, J=1, filter_names=filters)
+        assert split == one
+        _no_child_left()
+
+    @given(q=st.integers(1, 1000), x=st.integers(1, 3000), n=st.integers(2, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_additive_split_equals_one_share(self, q, x, n):
+        one = run_additive(q, x)
+        with _shares(n):
+            assert run_additive(q, x) == one
+        _no_child_left()
+
+    def test_split_forks_one_child_per_extra_share(self):
+        real_fork, children = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            children.append(pid)
+            return pid
+
+        with _shares(3), mock.patch.object(os, "fork", fork):
+            run_distribution(_phi_spec(), 5, 3000, J=1)
+        assert len(children) == 2 and 0 not in children
+        _no_child_left()
+
+    def test_small_x_never_forks(self):
+        with _shares(4, min_share=1000), _fork_forbidden():
+            run_distribution(_phi_spec(), 5, 1999, J=1)
+            run_additive(4, 1999)
+
+    # shares (0, 1000], (1000, 2000], (2000, 3000]: 37^2 = 1369 is first met
+    # in share 1 and 47^2 = 2209 in share 2
+    @pytest.mark.parametrize("missing", [{(37, 2)}, {(37, 2), (47, 2)}, {(47, 2)}])
+    def test_child_error_raised_in_share_order(self, missing):
+        table = {(p, e): p + e for p in range(2, 60) for e in range(2, 12)
+                 if p**e <= 3000 and (p, e) not in missing}
+        spec = MultiplicativeSpec(F=IntPoly((-1, 1)), rule="custom-table",
+                                  custom_table=table)
+        with pytest.raises(InvalidConfigError) as one:
+            run_distribution(spec, 5, 3000, J=1)
+        with _shares(3), _deadline(), pytest.raises(InvalidConfigError) as split:
+            run_distribution(spec, 5, 3000, J=1)
+        assert str(split.value) == str(one.value) == \
+            f"custom table has no entry for prime power {min(missing)}"
+        _no_child_left()
+
+    def test_dead_child_is_a_consistency_error(self, monkeypatch):
+        census = lab._census
+
+        def dies_in_child(spec, q, lo, hi, *args):
+            if lo > 1:
+                os._exit(1)
+            return census(spec, q, lo, hi, *args)
+
+        monkeypatch.setattr(lab, "_census", dies_in_child)
+        with _shares(2), _deadline(), \
+                pytest.raises(ConsistencyError, match="share 1 .1501, 3000."):
+            run_distribution(_phi_spec(), 5, 3000, J=1)
+        _no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self):
+        one = run_distribution(_phi_spec(), 5, 3000, J=1)
+        one_additive = run_additive(4, 3000)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with _shares(3), _fork_forbidden():
+                assert run_distribution(_phi_spec(), 5, 3000, J=1) == one
+                assert run_additive(4, 3000) == one_additive
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_guards_before_fork(self):
+        with _shares(2), _fork_forbidden():
+            with pytest.raises(GuardExceededError, match="sieve guard"):
+                run_distribution(_phi_spec(), 5, SIEVE_GUARD + 1, J=1)
+            with pytest.raises(GuardExceededError, match="sieve guard"):
+                run_additive(4, SIEVE_GUARD + 1)
+            with pytest.raises(GuardExceededError, match="modulus guard"):
+                run_distribution_multi(_phi_spec(), 2 * 10**6, [10**6], J=1,
+                                       filter_names=[])
 
 
 class TestScenarios:
@@ -405,6 +554,17 @@ class TestCli:
         cfg.write_text(f"[{section}]\nx = 1000\n{key} = {value}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"unknown scenario parameters: ['{param}']" in capsys.readouterr().err
+        assert not (tmp_path / "wudlab-report.json").exists()
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("x", "1e4", "x = '1e4'"), ("q", "five", "q = 'five'"), ("D", "2.0", "D = '2.0'"),
+    ])
+    def test_config_non_integer_exit_2(self, tmp_path, capsys, key, value, shown):
+        cfg = tmp_path / "run.ini"
+        keys = {"q": "4", "x": "1000", key: value}
+        cfg.write_text("[additive]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"[additive] {shown} is not an integer" in capsys.readouterr().err
         assert not (tmp_path / "wudlab-report.json").exists()
 
     def test_config_keys_reach_restricted(self, tmp_path, capsys):

@@ -96,6 +96,17 @@ class TestVDouble:
         with pytest.raises(InvalidConfigError):
             count_v_double(phi_poly, 5, 2, 5)
 
+    def test_brute_table_built_once_per_panel(self, quad_poly):
+        # one table answers every target w: the mixing ratio over all w
+        # enumerates the tuples once, not phi(q) times
+        q, J = 1009, 2
+        _v_double_brute_all.cache_clear()
+        rep = hypothesis_a_ratio(quad_poly, q, J, method="brute")
+        assert _v_double_brute_all.cache_info().misses == 1
+        uncached = _v_double_brute_all.__wrapped__(quad_poly, q, J)
+        assert [r.v_double for r in rep.rows] == [int(uncached[w]) for w in range(1, q)]
+        assert not _v_double_brute_all(quad_poly, q, J).flags.writeable
+
     @pytest.mark.parametrize("method", ["brute", "character", "auto"])
     def test_negative_j_rejected(self, quad_poly, method):
         with pytest.raises(InvalidConfigError):
