@@ -12,7 +12,6 @@ Example:
 """
 
 import argparse
-import math
 import sys
 
 from wudlab.characters import build_character_table, z_chi

@@ -7,6 +7,10 @@ Every count is an exact Python int. Multiplicative counts require odd q
 (the moduli of interest are odd at every prime); the additive counts
 accept every modulus, including even ones, where an exact parity factor
 appears.
+
+The brute counts form every tuple explicitly, in blocks of at most BLOCK
+values, so their memory is O(q + BLOCK) whatever the number of tuples:
+BRUTE_GUARD bounds their time only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigErr
 from wudlab.number_core import FactoredModulus, factor
 from wudlab.poly import IntPoly
 
-BRUTE_GUARD = 10**7
+BRUTE_GUARD = 10**7  # tuples per brute table; bounds time only, memory is O(q + BLOCK)
+BLOCK = 2**17  # most values in one brute block: the fastest of a 2^14..2^18 sweep
 BIT_BUDGET = 2**20  # bits per packed operand; slowest admitted power measured: 1.5 s
 
 METHODS = ("brute", "character", "linear", "auto")
@@ -81,22 +86,47 @@ def count_v_prime(F: IntPoly, q: FactoredModulus | int, J: int,
     return VPrimeReport(q=q.q, J=J, formula=formula, brute=brute)
 
 
+def _tuple_table(cols: np.ndarray, q: int, op: np.ufunc) -> np.ndarray:
+    """Count mod q of op(c_0, ..., c_{J-1}) over every tuple with c_j taken
+    from row j of the (J, n) array `cols`; `op` is np.multiply or np.add.
+
+    Every tuple is formed explicitly. The trailing b rows, b >= 1 the largest
+    with n^b <= BLOCK, are combined once into one block; each combination u
+    of the leading J - b rows is applied to that block in a reused buffer,
+    which is reduced and bincounted, so memory is O(q + BLOCK).
+    """
+    J, n = cols.shape
+    # a product of two residues is at most (q - 1)^2: int32 when that fits
+    cols = cols.astype(np.int32 if (q - 1) ** 2 < 2**31 else np.int64)
+    b = min(J, 1)
+    while b < J and n ** (b + 1) <= BLOCK:
+        b += 1
+    block = np.array([op.identity % q], dtype=cols.dtype)
+    for c in cols[J - b:]:
+        block = op.outer(block, c).ravel()
+        block -= block // q * q
+    fold = math.prod if op is np.multiply else sum  # exact on Python ints
+    buf, quot = np.empty_like(block), np.empty_like(block)
+    table = np.zeros(q, dtype=np.int64)
+    for head in itertools.product(*cols[:J - b].tolist()):
+        op(block, fold(head) % q, out=buf)
+        np.floor_divide(buf, q, out=quot)
+        quot *= q
+        buf -= quot
+        table += np.bincount(buf, minlength=q)
+    return table
+
+
 @lru_cache(maxsize=8)  # one table of q counts answers every target w
 def _v_double_brute_all(F: IntPoly, q: int, J: int) -> np.ndarray:
-    """V''(w) for every w, by explicit product enumeration (flat array
-    build); read-only, since the cache shares it."""
+    """V''(w) for every w, by explicit product enumeration; read-only,
+    since the cache shares it."""
     vals = _good_values(F, q)
     if vals.size**J > BRUTE_GUARD:
         raise GuardExceededError(
             f"brute tuple enumeration {vals.size}^{J} exceeds guard {BRUTE_GUARD}"
         )
-    # a product of two residues is at most (q - 1)^2: int32 when that fits
-    prods = np.array([1 % q], dtype=np.int32 if (q - 1) ** 2 < 2**31 else np.int64)
-    vals = vals.astype(prods.dtype)
-    for _ in range(J):
-        prods = (prods[:, None] * vals[None, :]).ravel()
-        prods -= prods // q * q
-    table = np.bincount(prods, minlength=q)
+    table = _tuple_table(np.broadcast_to(vals, (J, vals.size)), q, np.multiply)
     table.flags.writeable = False
     return table
 
@@ -313,17 +343,18 @@ def _additive_prime_power_count(ell: int, e: int, J: int, w: int) -> int:
     return raw // m
 
 
-def _additive_brute(q: int, J: int, w: int) -> tuple[int, int]:
-    units = [u for u in range(q) if math.gcd(u, q) == 1] if q > 1 else [0]
-    if len(units) ** J > BRUTE_GUARD:
+@lru_cache(maxsize=8)  # one table answers every target w
+def _additive_brute_all(q: int, J: int) -> np.ndarray:
+    """Row 0: #V_q(w), row 1: #V*_q(w) for every w, by explicit enumeration
+    of the unit J-tuples; read-only, since the cache shares it."""
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
+    if units.size**J > BRUTE_GUARD:
         raise GuardExceededError("additive brute enumeration guard exceeded")
-    v_sum = v_alt = 0
-    for tup in itertools.product(units, repeat=J):
-        if sum(tup) % q == w % q:
-            v_sum += 1
-        if sum(v if j % 2 == 0 else -v for j, v in enumerate(tup)) % q == w % q:
-            v_alt += 1
-    return v_sum, v_alt
+    cols = np.broadcast_to(units, (J, units.size))
+    signs = np.where(np.arange(J) % 2 == 0, 1, -1)[:, None]
+    table = np.stack([_tuple_table(cols, q, np.add), _tuple_table(signs * cols % q, q, np.add)])
+    table.flags.writeable = False
+    return table
 
 
 def additive_tuple_counts(q: int, J: int, w: int,
@@ -347,7 +378,7 @@ def additive_tuple_counts(q: int, J: int, w: int,
         parity = 2 if (J - w) % 2 == 0 else 0
     predicted = parity * fm.phi**J / q
     if brute:
-        v_sum, v_alt = _additive_brute(q, J, w)
+        v_sum, v_alt = (int(c) for c in _additive_brute_all(q, J)[:, w % q])
         if v_sum != v_alt:
             raise ConsistencyError("sign-flip bijection violated: V != V*")
         if v_sum != formula:

@@ -80,7 +80,7 @@ def test_criterion_02_v_double_three_methods():
     for F in TUPLE_PANEL_F:
         for q in TUPLE_PANEL_Q:
             for J in TUPLE_PANEL_J:
-                hist = _v_double_brute_all(F, q, J)  # one flat enumeration
+                hist = _v_double_brute_all(F, q, J)  # one brute enumeration
                 for w in _units(q):
                     brute = int(hist[w])
                     char = count_v_double(F, q, J, w, method="character")

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from wudlab.characters import (
-    CharacterTable,
     _value_counts,
     build_character_table,
     curve_point_count,

@@ -3,7 +3,7 @@
 No module imports a private name from another: a private name shared
 across modules is a decision that more than one module has to know; the
 owner should expose it as a public method or function instead. And no
-module imports a name it never reads.
+module, test or script imports a name it never reads.
 """
 
 import ast
@@ -11,8 +11,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wudlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wudlab"
 MODULES = sorted(SRC.glob("*.py"))
+# tests and scripts may import private names, but no file keeps an unread import
+ALL_FILES = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _file_id(path: Path) -> str:
+    return path.stem if path.parent == SRC else f"{path.parent.name}/{path.stem}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -37,7 +44,7 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", ALL_FILES, ids=_file_id)
 def test_no_unread_imports(path):
     tree = ast.parse(path.read_text())
     imported = {}

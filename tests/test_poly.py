@@ -1,7 +1,5 @@
 """Integer polynomials: evaluation, the discriminant gate, admissibility."""
 
-import math
-
 import numpy as np
 import pytest
 import sympy

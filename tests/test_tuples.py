@@ -2,18 +2,24 @@
 tuple counts with their closed form."""
 
 import math
+import tracemalloc
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wudlab.errors import ConsistencyError, InvalidConfigError
+from reference import additive_brute_loop, v_double_brute_flat
+from wudlab import tuples
+from wudlab.errors import InvalidConfigError
 from wudlab.number_core import crt_solve, factor
 from wudlab.poly import IntPoly
 from wudlab.tuples import (
+    BRUTE_GUARD,
+    _additive_brute_all,
     _v_double_brute_all,
     _v_double_char_prime_power,
     additive_tuple_counts,
@@ -242,6 +248,103 @@ class TestBruteWidth:
     def test_prime_at_width_boundary(self, quad_poly, q):
         got = _v_double_brute_all(quad_poly, q, 1)
         assert got.tolist() == self._int64_table(quad_poly, q, 1).tolist()
+
+
+def _tuple_cases(q_values):
+    """(q, J) with J in 0..5 and q^J <= 10^4, which bounds the number of tuples."""
+    return q_values.flatmap(lambda q: st.tuples(
+        st.just(q), st.integers(0, max(j for j in range(6) if q**j <= 10**4))))
+
+
+# 1 and 2 give b = 1 once there are two values; 7 gives b = 2 for two values
+# and many blocks; the module value takes b up to J
+BLOCKS = st.sampled_from([1, 2, 7, tuples.BLOCK])
+
+
+def _sparse_wilson_poly():
+    """F mod q = 3 * 5 * ... * 17 > 46341 with exactly two good values: mod
+    ell < 17, F = -2 prod_{r=1}^{ell-2} (T - r) * T^(17-ell) is a unit only at
+    v = -1, and mod 17, F = T prod_{r=1}^{14} (T - r) only at v = 15, 16."""
+    ells = (3, 5, 7, 11, 13, 17)
+    local = []
+    for ell in ells:
+        c = [0] * (17 - ell) + [-2 % ell] if ell < 17 else [0, 1]
+        for r in range(1, min(ell - 1, 15)):
+            c = [(a - r * b) % ell for a, b in zip([0] + c, c + [0])]
+        local.append(c)
+    q = math.prod(ells)
+    F = IntPoly(tuple(crt_solve([(c[k], ell) for c, ell in zip(local, ells)])[0]
+                      for k in range(16)))
+    return F, q
+
+
+class TestStreamedTables:
+    """The block-streamed brute tables equal the flat-array V'' oracle and
+    the itertools additive oracle at every target, for any BLOCK."""
+
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=4).filter(lambda c: c[-1]),
+           _tuple_cases(st.integers(0, 29).map(lambda k: 2 * k + 1)), BLOCKS)
+    @example([0, 3], (3, 2), 2)     # F = 3T mod 3: no good value
+    @example([1, 0, 1], (5, 5), 7)  # two good values, 2^5 tuples in blocks of 4
+    @settings(max_examples=150, deadline=None)
+    def test_v_double_matches_flat_oracle(self, coeffs, qJ, block):
+        F, (q, J) = IntPoly(tuple(coeffs)), qJ
+        with mock.patch.object(tuples, "BLOCK", block):
+            got = _v_double_brute_all.__wrapped__(F, q, J)
+        assert got.dtype == np.int64
+        assert got.tolist() == v_double_brute_flat(F, q, J).tolist()
+
+    @given(_tuple_cases(st.integers(1, 60)), BLOCKS)
+    @example((1, 3), 1)
+    @example((2, 5), 7)
+    @settings(max_examples=150, deadline=None)
+    def test_additive_matches_loop_oracle(self, qJ, block):
+        q, J = qJ
+        with mock.patch.object(tuples, "BLOCK", block):
+            got = _additive_brute_all.__wrapped__(q, J)
+        want = [additive_brute_loop(q, J, w) for w in range(q)]
+        assert got.T.tolist() == [list(pair) for pair in want]
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_int64_path_past_width_bound(self, block):
+        F, q = _sparse_wilson_poly()
+        assert q > 46341
+        for J in range(6):
+            with mock.patch.object(tuples, "BLOCK", block):
+                got = _v_double_brute_all.__wrapped__(F, q, J)
+            assert got.sum() == 2**J
+            assert got.tolist() == v_double_brute_flat(F, q, J).tolist()
+
+
+class TestBruteMemory:
+    """Memory is O(q + BLOCK) whatever the number of tuples; the flat table
+    peaked at about 115 MB for the guard case."""
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_v_double_at_guard(self, quad_poly):
+        table, peak = self._peak(_v_double_brute_all.__wrapped__, quad_poly, 11, 7)
+        assert table.sum() == BRUTE_GUARD
+        assert peak < 4 * 2**20
+
+    def test_additive_at_guard(self):
+        table, peak = self._peak(_additive_brute_all.__wrapped__, 11, 7)
+        assert table.sum(axis=1).tolist() == [BRUTE_GUARD] * 2
+        assert not table.flags.writeable
+        assert peak < 4 * 2**20
+
+    def test_additive_table_built_once_per_panel(self):
+        _additive_brute_all.cache_clear()
+        reps = [additive_tuple_counts(9, 3, w) for w in range(9)]
+        assert _additive_brute_all.cache_info().misses == 1
+        assert sum(r.v_sum for r in reps) == factor(9).phi ** 3
 
 
 class TestInclusionExclusion:
