@@ -3,21 +3,35 @@ statistics: k-th largest prime factors with multiplicity, the convenient
 classification, and the additive functions A(n) and A*(n).
 
 The engine never materializes f(n) as a full integer; it carries residues
-mod q and derived flags only. A segment holds DEFAULT_SEGMENT integers, so
-that its working arrays stay in L2 cache. It is processed with numpy
-operations on strided views: for each prime p below sqrt(hi) and each k for
-which the segment holds a multiple of p^k, the view [s::p^k] over those
-multiples has one factor p multiplied into its smooth part and pushed on top
-of the slot stack of largest prime factors (primes come in ascending order,
-so each new factor goes on top). The exponent count then picks f(p^e) mod q
-from a per-prime table, built once per run and extended when a segment first
-holds a higher power of p. Where smooth != n, n / smooth is one prime above
-sqrt(hi); its F mod q comes from a per-run table of F(r) mod q, r < q.
+mod q and derived flags only. A segment [lo, hi) holds DEFAULT_SEGMENT
+integers, so that its working arrays stay in L2 cache, and rests on one
+fact: with B = icbrt(hi - 1), every n < hi has at most two prime factors,
+counted with multiplicity, above B.
+
+- Each prime p <= B works on strided views: for each k for which the segment
+  holds a multiple of p^k, the view [s::p^k] over those multiples has one
+  factor p multiplied into its smooth part and pushed on top of the slot
+  stack of largest prime factors (primes come in ascending order, so each
+  new factor goes on top). f(p^e) mod q, from a per-prime list built once
+  per run and extended when a segment first holds a higher power of p, is
+  written over the p^e views and multiplied in once.
+- Each prime B < p <= sqrt(hi - 1) writes p over its multiples in one array,
+  which so ends as the largest such prime dividing n, or 1.
+- One whole-array pass takes the rest: n / smooth and its quotient by the
+  marked prime (both float-exact) give the two remaining factors, 1 meaning
+  none. Each is pushed on the stack, added to Omega, A and A*, and its F mod q
+  gathered from a table; where both are the same p, p^2 | n takes f(p^2).
 
 f(n) mod q is an int64 product of one residue per distinct prime of n, at most
 omega of them (p_1 ... p_omega <= hi). When (q - 1)^omega < 2^63 (q <= 512 at
-2*10^6, q <= 235 at 10^8) a segment reduces it once, at its end, else after
-every prime. n, smooth, the slots, Omega, A and A* are int32 (SIEVE_GUARD < 2^31).
+2*10^6, q <= 235 at 10^8) a segment reduces it once, at its end; else after
+every prime p <= B, so that the two factors of the last pass keep it below
+q^3 < 2^63. n, smooth, the slots, Omega, A and A* are int32 (SIEVE_GUARD < 2^31).
+
+The working arrays (n, advanced in place, its smooth part, the marks, the
+quotients, the two factors, the table index and the gather buffer) are
+allocated once per iter_segments call and reused by every segment; each
+segment returns fresh output arrays.
 
 A caller pays only for the FIELDS it asks for: fmod (which brings coprime),
 Omega, A and A*; the slot stack, k_slots deep (0 allowed), is always there.
@@ -27,6 +41,7 @@ per-n record dumps for fmod and Omega; the default is all of them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,7 +55,9 @@ from wudlab.poly import IntPoly
 
 SIEVE_GUARD = 10**8
 RECORD_GUARD = 10**6
-DEFAULT_SEGMENT = 1 << 16  # 25 bytes per n with fmod and 2 slots: 1 638 400 < 2 MiB L2
+# with fmod and 2 slots a segment works on 54 bytes per n, 37 of them reused
+# scratch and 17 its outputs: 1 769 472 < 2 MiB L2
+DEFAULT_SEGMENT = 1 << 15
 # every table of size q is guarded; q <= 10^6 also keeps q^2 < 2^63 for the
 # int64 products of residues
 MODULUS_GUARD = 10**6
@@ -90,12 +107,6 @@ class MultiplicativeSpec:
             raise InvalidConfigError(
                 f"custom table has no entry for prime power ({p}, {e})"
             ) from None
-
-    def prime_power_table(self, p: int, max_e: int, q: int) -> np.ndarray:
-        return np.array(
-            [self.value_at_prime_power(p, e, q) for e in range(max_e + 1)],
-            dtype=np.int64,
-        )
 
     def label(self) -> str:
         return f"{self.rule}({self.F})"
@@ -265,21 +276,37 @@ def _reduce_once(q: int, hi: int) -> bool:
         omega += 1
 
 
+def _icbrt(n: int) -> int:
+    """The largest b >= 0 with b^3 <= n."""
+    b = round(n ** (1 / 3))
+    while b**3 > n:
+        b -= 1
+    while (b + 1) ** 3 <= n:
+        b += 1
+    return b
+
+
 def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
-                   k_slots: int, fields: tuple[str, ...], small_primes: np.ndarray,
-                   tables: dict[int, np.ndarray], f_table: np.ndarray | None,
-                   coprime_lookup: np.ndarray | None, reduce_once: bool) -> SegmentData:
+                   k_slots: int, fields: tuple[str, ...], primes: list[int],
+                   tables: dict[int, list[int]], f_table: np.ndarray | None,
+                   coprime_lookup: np.ndarray | None, reduce_once: bool,
+                   scratch: tuple[np.ndarray, ...]) -> SegmentData:
     size = hi - lo
-    n = np.arange(lo, hi, dtype=np.int32)
-    smooth = np.ones(size, dtype=np.int32)  # the part of n on the small primes
+    n, smooth, mark, quot, small, spare, gather, has = (a[:size] for a in scratch)
+    index = quot.view(np.intp)  # quot is dead by the time index is written
+    smooth.fill(1)  # the part of n on the primes <= cbrt(hi - 1)
+    mark.fill(1)
     slots = np.zeros((k_slots, size), dtype=np.int32)
     rows = list(slots)  # 1-D row views: indexing them is cheaper than slots[r, view]
-    fmod = extra = None
-    if "fmod" in fields:
-        fmod = np.full(size, 1 % q, dtype=np.int64)
-        extra = np.zeros(size, dtype=np.int8)  # exponent of the current p, minus 1
+    fmod = np.full(size, 1 % q, dtype=np.int64) if "fmod" in fields else None
     omega, a_sum, astar = (np.zeros(size, dtype=np.int32) if name in fields else None
                            for name in ("Omega", "A", "Astar"))
+
+    def values(p: int, k: int) -> list[int]:  # f(p^e) mod q for e <= k
+        vals = tables.get(p)
+        if vals is None or len(vals) <= k:
+            vals = tables[p] = [spec.value_at_prime_power(p, e, q) for e in range(k + 1)]
+        return vals
 
     def take(view, p, k=0) -> None:
         # p goes on top of the slot stack, whose top k slots already hold p;
@@ -295,42 +322,74 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
         if astar is not None:  # A*(pn) = p - A*(n)
             part = astar[view]
             np.subtract(p, part, out=part)
-            astar[view] = part  # the write-back matters only for an index array
 
-    for p in small_primes.tolist():
-        if p * p >= hi:
-            break
-        k, pk = 0, p
-        while (start := -lo % pk) < size:  # views over the multiples of p^(k+1)
-            view = slice(start, None, pk)
+    cube = bisect.bisect_right(primes, _icbrt(hi - 1))
+    root = bisect.bisect_right(primes, math.isqrt(hi - 1))
+    for p in primes[:cube]:
+        views, pk = [], p
+        while (start := -lo % pk) < size:  # views over the multiples of p, p^2, ...
+            views.append(slice(start, None, pk))
+            pk *= p
+        for k, view in enumerate(views):
             part = smooth[view]
             part *= p
-            if k and extra is not None:
-                extra[view] += 1
             take(view, p, k)
-            k, pk = k + 1, pk * p
-        if not k or fmod is None:
+        if not views or fmod is None:
             continue
-        tab = tables.get(p)
-        if tab is None or tab.size <= k:
-            tab = tables[p] = spec.prime_power_table(p, k, q)
-        part = fmod[-lo % p::p]
-        if k == 1:
-            part *= int(tab[1])
-        else:
-            part *= tab[1:][extra[-lo % p::p]]
-            extra[-lo % (p * p)::p * p] = 0
+        vals = values(p, len(views))
+        part = fmod[views[0]]
+        if len(views) == 1:
+            part *= vals[1]
+        else:  # f(p^e) over the multiples of p^e, then one product
+            for e, view in enumerate(views, 1):
+                gather[view] = vals[e]
+            part *= gather[views[0]]
         if not reduce_once:
             part %= q
+    for p in primes[cube:root]:  # ascending, so mark ends as the largest one dividing n
+        mark[-lo % p::p] = p
 
-    big = np.flatnonzero(smooth != n)  # n = smooth * (one prime above sqrt(hi))
-    if big.size:
-        pbig = (n[big] / smooth[big]).astype(np.int32)  # exact: ints < 2^53 divide evenly
-        if fmod is not None:
-            fmod[big] *= f_table[pbig - pbig // q * q]
-        take(big, pbig)
+    # n / smooth is 1, p, p p' or p^2 with cbrt(hi - 1) < p <= p'; a marked
+    # prime divides it, so both quotients are exact
+    np.divide(n, smooth, out=quot)
+    np.divide(quot, mark, out=quot)
+    np.minimum(mark, quot, out=small, casting="unsafe")
+    large = np.maximum(mark, quot, out=mark, casting="unsafe")
+    square = None
+    for x in (small, large):  # ascending, and above every prime on the stack
+        np.greater(x, 1, out=has)
+        x *= has  # 0 where n has no such factor
+        for r in range(k_slots - 1, 0, -1):  # rows[r - 1] moves up where x > 0
+            np.minimum(rows[r - 1], x, out=spare)
+            np.maximum(rows[r], spare, out=rows[r])
+        if k_slots:
+            np.maximum(rows[0], x, out=rows[0])
+        if omega is not None:
+            omega += has
+        if a_sum is not None:
+            a_sum += x
+        if astar is not None:  # A* += x - 2 A* where x > 0
+            np.multiply(astar, has, out=spare)
+            astar -= spare
+            astar -= spare
+            astar += x
+        if fmod is not None:  # f_table index: 1 + x mod q where x > 0, else 0
+            np.floor_divide(x, q, out=spare)
+            spare *= q
+            np.subtract(x, spare, out=spare)
+            spare += has
+            np.copyto(index, spare)  # np.take would convert int32 indices in a new array
+            np.take(f_table, index, out=gather, mode="clip")
+            if square is None:  # p^2 | n: f(p^2) on the first factor, 1 on the second
+                square = np.flatnonzero(np.equal(x, large, out=has))
+                gather[square] = [values(p, 2)[2] for p in small[square].tolist()]
+            else:
+                gather[square] = 1
+            fmod *= gather
     if fmod is not None:  # x - x // q * q: numpy's // by a scalar is far cheaper than %
-        fmod -= fmod // q * q
+        np.floor_divide(fmod, q, out=gather)
+        gather *= q
+        fmod -= gather
 
     return SegmentData(lo=lo, hi=hi, q=q, fmod=fmod,
                        coprime=None if fmod is None else coprime_lookup[fmod],
@@ -344,7 +403,8 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
 
     Results are identical for any segmentation: each segment is a pure
     function of its own range. Only the FIELDS named in fields are computed
-    (coprime comes with fmod) and the others are None.
+    (coprime comes with fmod) and the others are None. The working arrays are
+    allocated once per call and reused; each SegmentData's arrays are its own.
     """
     if hi > SIEVE_GUARD:
         raise GuardExceededError(f"sieve guard {SIEVE_GUARD} exceeded by hi={hi}")
@@ -355,17 +415,24 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
     if not set(fields) <= set(FIELDS):
         raise InvalidConfigError(f"fields must be drawn from {FIELDS}, got {fields}")
     check_modulus(q)
-    small = primes_upto(math.isqrt(hi))
-    tables: dict[int, np.ndarray] = {}  # p -> f(p^e) mod q, grown on demand
+    primes = primes_upto(math.isqrt(hi)).tolist()
+    tables: dict[int, list[int]] = {}  # p -> f(p^e) mod q, grown on demand
     f_table = coprime_lookup = None
     reduce_once = _reduce_once(q, hi)
     if "fmod" in fields:
-        f_table = spec.F.eval_mod(np.arange(q, dtype=np.int64), q)
+        # index 0 for no factor, 1 + r for a factor = r mod q
+        f_table = np.concatenate(([1 % q], spec.F.eval_mod(np.arange(q, dtype=np.int64), q)))
         coprime_lookup = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    size = min(segment_size, hi + 1 - lo)
+    # the working arrays: n, then smooth, mark, quot, small, spare, gather and has
+    n = np.arange(lo, lo + size, dtype=np.int32)
+    scratch = (n, *(np.empty(size, dtype) for dtype in (
+        np.int32, np.int32, np.float64, np.int32, np.int32, np.int64, bool)))
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size, hi + 1)
-        yield _sieve_segment(spec, q, seg_lo, seg_hi, k_slots, fields, small,
-                             tables, f_table, coprime_lookup, reduce_once)
+        yield _sieve_segment(spec, q, seg_lo, seg_hi, k_slots, fields, primes,
+                             tables, f_table, coprime_lookup, reduce_once, scratch)
+        n += size
 
 
 def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,

@@ -1,7 +1,9 @@
 """The segmented evaluator of f(n) mod q: prime-power rules, factor
 statistics, the convenient split, and the additive functions A and A*."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from wudlab.errors import GuardExceededError, InvalidConfigError
 from wudlab.number_core import is_prime
 from wudlab.poly import IntPoly
 from wudlab.sieve import (
+    DEFAULT_SEGMENT,
     FIELDS,
     MODULUS_GUARD,
     RULES,
@@ -24,7 +27,7 @@ from wudlab.sieve import (
     iter_segments,
     sieve_range,
 )
-from wudlab.sieve import _reduce_once
+from wudlab.sieve import _icbrt, _reduce_once
 
 
 class TestRules:
@@ -362,3 +365,161 @@ class TestRecordStream:
             for i in range(0, seg.hi - seg.lo, 7):
                 rec = FactorizationRecord.of(seg.lo + i)
                 assert bool(flags[i]) == rec.is_convenient(params)
+
+
+def _near_split(x: int) -> list[int]:
+    """The four smallest primes above icbrt(x - 1) and the four largest at
+    most isqrt(x - 1): the ends of the marked band of a segment ending at x."""
+    cube, root = _icbrt(x - 1), math.isqrt(x - 1)
+    above = itertools.islice(filter(is_prime, itertools.count(cube + 1)), 4)
+    below = itertools.islice(filter(is_prime, range(root, 1, -1)), 4)
+    return sorted({*above, *below})
+
+
+@st.composite
+def _split_cases(draw):
+    x = draw(st.integers(10**3, SIEVE_GUARD - 200))
+    near = _near_split(x)
+    p, p2 = sorted(draw(st.sampled_from(near)) for _ in range(2))
+    # the multiple of p p' (p^2 when p = p') just below x, or a prime cube,
+    # where cbrt(hi - 1) steps past a prime
+    anchors = [x // (p * p2) * p * p2,
+               *(c**3 for c in near if 1000 < c**3 < SIEVE_GUARD - 200)]
+    lo = max(1, draw(st.sampled_from(anchors)) + draw(st.integers(-40, 40)))
+    hi = lo + draw(st.integers(0, 80))
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3))
+    coeffs.append(draw(st.integers(-5, 5).filter(bool)))
+    rule = draw(st.sampled_from(RULES))
+    table = None
+    if rule == "custom-table":
+        rnd = draw(st.randoms(use_true_random=False))
+        table = {(r, e): rnd.randrange(-10**6, 10**6)
+                 for r in range(2, math.isqrt(hi) + 1) if is_prime(r)
+                 for e in range(2, hi.bit_length()) if r**e <= hi}
+    spec = MultiplicativeSpec(F=IntPoly(tuple(coeffs)), rule=rule, custom_table=table)
+    # reduced once (q <= 235 up to 10^8) or after every prime (q >= 236 past
+    # 2*10^6); a prime q of the band has F(q) = F(0) mod q on the last pass
+    q = draw(st.sampled_from([1, 2, 5, 25, 235, 236, 1001, 999983, 10**6])
+             | st.sampled_from(near))
+    return spec, lo, hi, q
+
+
+class TestCubeRootSplit:
+    """Every n < hi has at most two prime factors above icbrt(hi - 1); the
+    primes up to there run the strided views, the primes up to isqrt(hi - 1)
+    only mark n, and one whole-array pass takes the last two factors."""
+
+    def test_icbrt(self):
+        for n in [*range(1, 5000), *(c**3 + d for c in range(17, 470) for d in (-1, 0, 1))]:
+            b = _icbrt(n)
+            assert b**3 <= n < (b + 1) ** 3
+
+    @given(_split_cases(), st.lists(st.sampled_from(FIELDS), unique=True),
+           st.integers(0, 4), st.integers(1, 64))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_n_reference(self, case, fields, k_slots, segment_size):
+        spec, lo, hi, q = case
+        segs = list(iter_segments(spec, lo, hi, q, k_slots=k_slots,
+                                  segment_size=segment_size, fields=tuple(fields)))
+        assert [s.lo for s in segs] == list(range(lo, hi + 1, segment_size))
+        for seg in segs:
+            for key in FIELDS:
+                assert (getattr(seg, key) is None) == (key not in fields)
+            assert (seg.coprime is None) == ("fmod" not in fields)
+            for i, n in enumerate(range(seg.lo, seg.hi)):
+                rec = FactorizationRecord.of(n)
+                if "fmod" in fields:
+                    assert (int(seg.fmod[i]), bool(seg.coprime[i])) == f_mod(spec, n, q)
+                if "Omega" in fields:
+                    assert int(seg.Omega[i]) == rec.Omega
+                if "A" in fields:
+                    assert int(seg.A[i]) == rec.additive_sums()[0]
+                if "Astar" in fields:
+                    assert int(seg.Astar[i]) == rec.additive_sums()[1]
+                assert [int(v) for v in seg.slots[:, i]] == [
+                    rec.P(k) if k <= rec.Omega else 0 for k in range(1, k_slots + 1)]
+
+    @pytest.mark.parametrize("q", [101, 103, 997])
+    def test_prime_modulus_in_band(self, q):
+        # at 10^6 the band is (99, 999]: a prime q there meets itself as one of
+        # the last two factors, where its residue is 0 mod q
+        spec = MultiplicativeSpec(F=IntPoly((7, 3, 1)), rule="polynomial-at-prime-powers")
+        lo = 10**6 - 400
+        for seg in iter_segments(spec, lo, 10**6 - 1, q, k_slots=3, segment_size=128):
+            for i, n in enumerate(range(seg.lo, seg.hi)):
+                assert (int(seg.fmod[i]), bool(seg.coprime[i])) == f_mod(spec, n, q)
+        assert any(n % q == 0 for n in range(lo, 10**6))
+
+    def test_custom_table_missing_square_in_band_named(self, phi_poly):
+        # 101 > icbrt(10300) = 21, so 101^2 = 10201 is met on the last pass
+        table = {(p, e): 1 for p in range(2, 102) if is_prime(p) for e in range(2, 15)}
+        del table[(101, 2)]
+        spec = MultiplicativeSpec(F=phi_poly, rule="custom-table", custom_table=table)
+        assert list(iter_segments(spec, 10202, 10300, 7))  # no multiple of 101^2
+        with pytest.raises(InvalidConfigError, match=r"\(101, 2\)"):
+            list(iter_segments(spec, 10150, 10300, 7))
+
+
+OUTPUTS = ("fmod", "coprime", "Omega", "A", "Astar", "slots")
+REUSE_CASES = [(1, 700, 64), (8 * 10**6 - 300, 8 * 10**6 + 300, 128),
+               (SIEVE_GUARD - 500, SIEVE_GUARD, 97)]
+
+
+class TestScratchReuse:
+    """The working arrays are reused by every segment of one iter_segments
+    call; what a segment returns is its own."""
+
+    @pytest.mark.parametrize("lo, hi, size", REUSE_CASES)
+    def test_segments_share_no_memory(self, phi_poly, lo, hi, size):
+        segs = list(iter_segments(MultiplicativeSpec(F=phi_poly), lo, hi, 35, k_slots=3,
+                                  segment_size=size))
+        assert len(segs) > 3
+        for a, b in itertools.combinations(segs, 2):
+            for x, y in itertools.product(OUTPUTS, repeat=2):
+                assert not np.shares_memory(getattr(a, x), getattr(b, y))
+
+    @pytest.mark.parametrize("lo, hi, size", REUSE_CASES)
+    @pytest.mark.parametrize("rule", ["euler-like", "completely-multiplicative"])
+    def test_list_equals_fresh_calls(self, quad_poly, lo, hi, size, rule):
+        spec = MultiplicativeSpec(F=quad_poly, rule=rule)
+        for seg in list(iter_segments(spec, lo, hi, 25, k_slots=3, segment_size=size)):
+            fresh, = iter_segments(spec, seg.lo, seg.hi - 1, 25, k_slots=3,
+                                   segment_size=size)
+            for key in OUTPUTS:
+                want, got = getattr(fresh, key), getattr(seg, key)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestSegmentMemory:
+    """Sieving a long range costs one segment's working set, whatever its
+    length, since the working arrays are allocated once per call."""
+
+    L2 = 2 * 2**20         # the cache DEFAULT_SEGMENT is sized for
+    WORKING = 54           # bytes per n of a segment with fmod and 2 slots
+    HELD = 8 + 1 + 2 * 4   # bytes per n of its outputs: fmod, coprime, 2 slots
+
+    @staticmethod
+    def _census(phi_poly, hi):
+        spec = MultiplicativeSpec(F=phi_poly)
+        list(iter_segments(spec, 1, 100, 5))  # build the per-process caches
+        tracemalloc.start()
+        try:
+            segs = iter_segments(spec, 1, hi, 5, k_slots=2, fields=("fmod",))
+            seg = next(segs)
+            size, current = seg.hi - seg.lo, tracemalloc.get_traced_memory()[0]
+            for seg in segs:  # holds one segment while the next is sieved
+                pass
+            return size, current, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_working_set_fits_l2(self, phi_poly):
+        assert self.WORKING * DEFAULT_SEGMENT <= self.L2
+        size, current, _ = self._census(phi_poly, 2 * 10**6)
+        assert size == DEFAULT_SEGMENT
+        # the scratch and the first segment's outputs, plus the small tables
+        assert current <= self.WORKING * DEFAULT_SEGMENT + 2**16
+
+    def test_peak_is_one_segment_plus_one_held(self, phi_poly):
+        _, _, peak = self._census(phi_poly, 2 * 10**6)
+        assert peak < self.L2 + self.HELD * DEFAULT_SEGMENT
