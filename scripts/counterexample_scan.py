@@ -4,7 +4,7 @@
 For construction i (product polynomial, squarefree q) the class of 2 should
 dominate; for construction ii (f(p) = (p-1)^D + 1, q = q1^D) the class of 1
 should. Prints the target-class ratio against the largest other ratio as x
-grows.
+grows; one census serves the whole ladder of x.
 
 Example:
     python scripts/counterexample_scan.py --which ii --D 2 --q1 5 --xmax 1e7
@@ -13,7 +13,8 @@ Example:
 import argparse
 import sys
 
-from wudlab.lab import run_scenario
+from wudlab.lab import counterexample_i, counterexample_ii, overrepresentation, \
+    run_distribution_multi
 
 
 def main() -> int:
@@ -28,16 +29,16 @@ def main() -> int:
     args = ap.parse_args()
 
     xs = [int(args.xmax / 10**k) for k in reversed(range(args.ladder))]
-    name = f"counterexample-{args.which}"
+    if args.which == "i":
+        spec, q, target = counterexample_i(args.D, args.num_primes)
+    else:
+        spec, q, target = counterexample_ii(args.D, args.q1)
     print(f"{'x':>10} {'q':>6} {'target':>7} {'ratio':>8} {'max other':>10} "
           f"{'strict max':>10}")
+    reports = {rep.x: rep for rep in run_distribution_multi(spec, q, xs)}
     for x in xs:
-        if args.which == "i":
-            rep = run_scenario(name, D=args.D, x=x, num_primes=args.num_primes)
-        else:
-            rep = run_scenario(name, D=args.D, q1=args.q1, x=x)
-        s = rep.summary
-        print(f"{x:>10} {s['q']:>6} {s['target_class']:>7} "
+        s = overrepresentation(reports[x], target)
+        print(f"{x:>10} {q:>6} {s['target_class']:>7} "
               f"{s['target_ratio']:>8.4f} {s['max_other_ratio']:>10.4f} "
               f"{str(s['target_is_strict_max']):>10}")
     return 0

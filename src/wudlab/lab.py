@@ -16,6 +16,18 @@ in share order, a child that dies raises ConsistencyError, and no child
 outlives the call. Forking needs os.fork, os.sched_getaffinity and no
 other running thread (a forked child holds a copy of one thread only);
 otherwise the census runs inline as one share.
+
+A distribution census sieves only the odd m of its share (iter_segments with
+step 2). f is multiplicative, so each n = 2^e m <= x with m odd has f(n) =
+c_e f(m), c_e = f(2^e) mod q, and m's segment counts n into the checkpoint
+piece that holds it; an e whose c_e is not a unit is skipped, since those n
+are never coprime and only unit classes are read. The flags of m serve
+2^e m: an appended factor 2 never passes P_k > q when q >= 2 nor P_J > y
+when y >= 2 (ConvenientParams.from_x gives y >= 2.3 for every x >= 2), and
+P_J(m) > y forces Omega(m) >= J, so the convenient flag and every filter of
+2^e m are those of m. For q = 1 or y < 2 a census sieves every n of its
+share. Each share returns one piece per checkpoint at or above its first n,
+and the parent sums the shares checkpoint by checkpoint.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ import numpy as np
 
 from wudlab.density import DensityProfile, alpha
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
-from wudlab.poly import IntPoly, parse_poly
+from wudlab.poly import IntPoly, admissible_primes, parse_poly
 from wudlab.sieve import (
     SIEVE_GUARD,
     ConvenientParams,
@@ -107,8 +119,8 @@ class DistributionReport:
 
 
 class _DistributionAccumulator:
-    """Exact per-class and convenient-split counts of one filter: add takes a
-    segment, merge the counts of a range another accumulator has added."""
+    """Exact per-class and convenient-split counts of one filter, summed by
+    merge from the census pieces."""
 
     def __init__(self, spec: MultiplicativeSpec, q: int, filter_name: str = "none",
                  scenario: str = "dist"):
@@ -121,24 +133,6 @@ class _DistributionAccumulator:
         self.scenario = scenario
         self.class_counts = np.zeros(q, dtype=np.int64)  # every class; only units are read
         self.n_con = 0
-
-    def _filter_mask(self, seg: SegmentData, convenient: np.ndarray) -> np.ndarray | None:
-        if self.filter_name == "none":
-            return None
-        if self.filter_name == "pD2-rough":
-            return seg.P(self.spec.F.degree + 2) > self.q
-        if self.filter_name == "p2-rough":
-            return seg.P(2) > self.q
-        return convenient
-
-    def add(self, seg: SegmentData, convenient: np.ndarray) -> None:
-        # n is coprime exactly when f(n) mod q is a unit class, and snapshot reads
-        # only unit classes: the class counts need no coprime mask
-        mask = self._filter_mask(seg, convenient)
-        con = seg.coprime & convenient
-        self.class_counts += np.bincount(seg.fmod if mask is None else seg.fmod[mask],
-                                         minlength=self.q)
-        self.n_con += int(np.count_nonzero(con if mask is None else con & mask))
 
     def merge(self, counts: np.ndarray, n_con: int) -> None:
         self.class_counts += counts
@@ -235,22 +229,85 @@ def _fan_out(census, q: int, x: int) -> list:
             os.waitpid(pid, 0)
 
 
+def _filter_mask(filter_name: str, spec: MultiplicativeSpec, q: int, seg: SegmentData,
+                 convenient: np.ndarray) -> np.ndarray | None:
+    """The n of seg that filter_name keeps; None keeps them all."""
+    if filter_name == "none":
+        return None
+    if filter_name == "pD2-rough":
+        return seg.P(spec.F.degree + 2) > q
+    if filter_name == "p2-rough":
+        return seg.P(2) > q
+    return convenient
+
+
+def _add_classes(counts: np.ndarray, classes: np.ndarray, c: int, spread: dict) -> None:
+    """counts[c a mod q] += 1 for each a in classes, q = len(counts) and c a
+    unit mod q; spread caches, per c, the classes b / c mod q of every b."""
+    q = len(counts)
+    if 8 * len(classes) < q:  # cheaper than a histogram of all q classes
+        np.add.at(counts, classes * c % q, 1)
+        return
+    hist = np.bincount(classes, minlength=q)
+    if c != 1 % q:  # c a is a permutation of the classes
+        if c not in spread:
+            spread[c] = np.arange(q, dtype=np.int64) * pow(c, -1, q) % q
+        hist = hist[spread[c]]
+    counts += hist
+
+
 def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int],
             k_slots: int, params: ConvenientParams,
             filter_names: Sequence[str]) -> list[tuple[int, list[tuple[np.ndarray, int]]]]:
-    """The class counts and n_con of each filter over [lo, hi], in pieces
-    (end, [(class_counts, n_con) per filter]): one ending at each checkpoint
-    of xs in [lo, hi) and one ending at hi, each counting only its own n."""
-    pieces = []
-    for end in [x for x in xs if lo <= x < hi] + [hi]:
-        accs = [_DistributionAccumulator(spec, q, f) for f in filter_names]
-        for seg in iter_segments(spec, lo, end, q, k_slots=k_slots, fields=("fmod",)):
-            convenient = seg.convenient(params)
-            for acc in accs:
-                acc.add(seg, convenient)
-        pieces.append((end, [(acc.class_counts, acc.n_con) for acc in accs]))
-        lo = end + 1
-    return pieces
+    """The class counts and n_con of each filter over the n = 2^e m <= xs[-1]
+    with m odd in [lo, hi] (every n in [lo, hi] when q = 1 or y < 2), in
+    pieces (end, [(class_counts, n_con) per filter]): one for each checkpoint
+    end >= lo, counting the n above the checkpoint before it."""
+    x = xs[-1]
+    step = 2 if q > 1 and params.y >= 2 else 1  # see the module docstring
+    lo |= step - 1  # the first odd m >= lo when step = 2
+    scales = []  # (2^e, f(2^e) mod q) for the e that make some n <= x, f(2^e) a unit
+    for e in range(x.bit_length() if step == 2 else 1):
+        if lo << e > x:
+            break
+        c = spec.value_at_prime_power(2, e, q)
+        if math.gcd(c, q) == 1:
+            scales.append((1 << e, c))
+    ends = [end for end in xs if end >= lo]
+    counts = [[np.zeros(q, dtype=np.int64) for _ in filter_names] for _ in ends]
+    n_con = [[0] * len(filter_names) for _ in ends]
+    spread: dict[int, np.ndarray] = {}
+
+    def add(seg: SegmentData) -> None:
+        convenient = seg.convenient(params)
+        # n is coprime exactly when f(n) mod q is a unit class, and snapshot reads
+        # only unit classes: the class counts need no coprime mask
+        con = seg.coprime & convenient
+        kept = []  # per filter: the classes it keeps, their con flags and its mask
+        for f in filter_names:
+            mask = _filter_mask(f, spec, q, seg, convenient)
+            kept.append((seg.fmod, con, None) if mask is None else
+                        (seg.fmod[mask], con & mask, mask))
+        for scale, c in scales:
+            # n = scale (seg.lo + step i) <= end exactly for the i below bounds[j]
+            bounds = [min(max((end // scale - seg.lo) // step + 1, 0), len(seg.fmod))
+                      for end in ends]
+            if not bounds[-1]:
+                break
+            for j, (a, b) in enumerate(zip([0, *bounds], bounds)):
+                if a == b:
+                    continue
+                for f, (classes, flags, mask) in enumerate(kept):
+                    ia, ib = (a, b) if mask is None else (
+                        np.count_nonzero(mask[:a]), np.count_nonzero(mask[:b]))
+                    _add_classes(counts[j][f], classes[ia:ib], c, spread)
+                    n_con[j][f] += int(np.count_nonzero(flags[a:b]))
+
+    for seg in iter_segments(spec, lo, hi, q, k_slots=k_slots, fields=("fmod",),
+                             step=step):
+        add(seg)
+        del seg  # the next segment is sieved without this one
+    return [(end, list(zip(counts[j], n_con[j]))) for j, end in enumerate(ends)]
 
 
 def run_distribution(spec: MultiplicativeSpec, q: int, x: int, *,
@@ -276,14 +333,15 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
     accs = [_DistributionAccumulator(spec, q, f, scenario) for f in filter_names]
     profile = alpha(spec.F, q)
     k_slots = _k_slots(spec, params, filter_names)
+    shares = [dict(pieces) for pieces in _fan_out(
+        lambda lo, hi: _census(spec, q, lo, hi, xs, k_slots, params, filter_names),
+        q, xs[-1])]
     reports: list[DistributionReport] = []
-    for pieces in _fan_out(lambda lo, hi: _census(spec, q, lo, hi, xs, k_slots, params,
-                                                  filter_names), q, xs[-1]):
-        for end, counts in pieces:
-            for acc, (class_counts, n_con) in zip(accs, counts):
+    for x in xs:
+        for share in shares:
+            for acc, (class_counts, n_con) in zip(accs, share.get(x, ())):
                 acc.merge(class_counts, n_con)
-            if end in xs:
-                reports += [acc.snapshot(end, profile) for acc in accs]
+        reports += [acc.snapshot(x, profile) for acc in accs]
     return reports
 
 
@@ -436,7 +494,8 @@ def run_scenario(name: str, **params) -> ScenarioReport:
     raise InvalidConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
 
 
-def _overrepresentation(report: DistributionReport, target: int) -> dict:
+def overrepresentation(report: DistributionReport, target: int) -> dict:
+    """How the class of target compares with the other unit classes of report."""
     ratios = {a: c * len(report.class_counts) / report.n_coprime
               for a, c in report.class_counts.items()} if report.n_coprime else {}
     t = target % report.q
@@ -449,30 +508,39 @@ def _overrepresentation(report: DistributionReport, target: int) -> dict:
     }
 
 
+def counterexample_i(D: int = 2, num_primes: int = 2) -> tuple[MultiplicativeSpec, int, int]:
+    """(spec, q, target) of construction i: F = (T-2)(T-4)...(T-2D) + 2,
+    completely multiplicative, q the product of the first num_primes
+    admissible primes above D + 1, and target = 2 its overrepresented class."""
+    F = parse_poly(f"counterexample-i D={int(D)}").require_separable()
+    primes, _ = admissible_primes(F, 1000)
+    primes = [p for p in primes if p > int(D) + 1][: int(num_primes)]
+    return MultiplicativeSpec(F=F, rule="completely-multiplicative"), math.prod(primes), 2
+
+
+def counterexample_ii(D: int = 2, q1: int = 5) -> tuple[MultiplicativeSpec, int, int]:
+    """(spec, q, target) of construction ii: f(p) = (p-1)^D + 1, completely
+    multiplicative, q = q1^D, and target = 1 its overrepresented class."""
+    F = parse_poly(f"counterexample-ii D={int(D)}").require_separable()
+    return MultiplicativeSpec(F=F, rule="completely-multiplicative"), int(q1) ** int(D), 1
+
+
 def _scenario_counterexample_i(D: int = 2, x: int = 10**6, num_primes: int = 2,
                                **extra) -> ScenarioReport:
     _reject_extra(extra)
-    F = parse_poly(f"counterexample-i D={int(D)}").require_separable()
-    from wudlab.poly import admissible_primes
-
-    primes, _ = admissible_primes(F, 1000)
-    primes = [p for p in primes if p > D + 1][: int(num_primes)]
-    q = math.prod(primes)
-    spec = MultiplicativeSpec(F=F, rule="completely-multiplicative")
+    spec, q, target = counterexample_i(D, num_primes)
     rep = run_distribution(spec, q, int(x), scenario="counterexample-i")
     return ScenarioReport(name="counterexample-i", reports=(rep,),
-                          summary={"q": q, "D": D, **_overrepresentation(rep, 2)})
+                          summary={"q": q, "D": D, **overrepresentation(rep, target)})
 
 
 def _scenario_counterexample_ii(D: int = 2, q1: int = 5, x: int = 10**6,
                                 **extra) -> ScenarioReport:
     _reject_extra(extra)
-    F = parse_poly(f"counterexample-ii D={int(D)}").require_separable()
-    q = int(q1) ** int(D)
-    spec = MultiplicativeSpec(F=F, rule="completely-multiplicative")
+    spec, q, target = counterexample_ii(D, q1)
     rep = run_distribution(spec, q, int(x), scenario="counterexample-ii")
     return ScenarioReport(name="counterexample-ii", reports=(rep,),
-                          summary={"q": q, "D": D, **_overrepresentation(rep, 1)})
+                          summary={"q": q, "D": D, **overrepresentation(rep, target)})
 
 
 def _scenario_restricted(name: str, poly: str = "phi", rule: str = "euler-like",

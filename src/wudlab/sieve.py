@@ -3,9 +3,13 @@ statistics: k-th largest prime factors with multiplicity, the convenient
 classification, and the additive functions A(n) and A*(n).
 
 The engine never materializes f(n) as a full integer; it carries residues
-mod q and derived flags only. A segment [lo, hi) holds DEFAULT_SEGMENT
-integers, so that its working arrays stay in L2 cache, and rests on one
-fact: with B = icbrt(hi - 1), every n < hi has at most two prime factors,
+mod q and derived flags only. It sieves the progression n = lo, lo + step,
+... <= hi with gcd(lo, step) = 1 (step 1 by default; a census sieves the odd
+n with step 2). The primes dividing step divide no n and are skipped; for
+any other p, p^k | lo + step i exactly when i = -lo / step mod p^k, where
+the view over those n starts. A segment holds DEFAULT_SEGMENT values, so
+that its working arrays stay in L2 cache, and rests on one fact: with
+B = icbrt(t), t its largest n, every n of it has at most two prime factors,
 counted with multiplicity, above B.
 
 - Each prime p <= B works on strided views: for each k for which the segment
@@ -15,7 +19,7 @@ counted with multiplicity, above B.
   new factor goes on top). f(p^e) mod q, from a per-prime list built once
   per run and extended when a segment first holds a higher power of p, is
   written over the p^e views and multiplied in once.
-- Each prime B < p <= sqrt(hi - 1) writes p over its multiples in one array,
+- Each prime B < p <= sqrt(t) writes p over its multiples in one array,
   which so ends as the largest such prime dividing n, or 1.
 - One whole-array pass takes the rest: n / smooth and its quotient by the
   marked prime (both float-exact) give the two remaining factors, 1 meaning
@@ -226,7 +230,7 @@ def additive_values(n: int, q: int) -> tuple[int, int]:
 
 @dataclass
 class SegmentData:
-    """Vectorized per-n data for n in [lo, hi)."""
+    """Vectorized per-n data for the n in range(lo, hi, step)."""
 
     lo: int
     hi: int
@@ -236,11 +240,8 @@ class SegmentData:
     Omega: np.ndarray | None
     A: np.ndarray | None         # A(n), exact
     Astar: np.ndarray | None     # A*(n), exact signed
-    slots: np.ndarray     # (k_slots, hi-lo): largest prime factors, descending
-
-    @property
-    def n(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi, dtype=np.int64)
+    slots: np.ndarray     # (k_slots, size): largest prime factors, descending
+    step: int = 1         # the n are lo, lo + step, ... < hi
 
     def P(self, k: int) -> np.ndarray:
         """P_k(n) for all n in the segment (1 where Omega < k)."""
@@ -286,15 +287,15 @@ def _icbrt(n: int) -> int:
     return b
 
 
-def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
+def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, size: int, step: int,
                    k_slots: int, fields: tuple[str, ...], primes: list[int],
-                   tables: dict[int, list[int]], f_table: np.ndarray | None,
-                   coprime_lookup: np.ndarray | None, reduce_once: bool,
-                   scratch: tuple[np.ndarray, ...]) -> SegmentData:
-    size = hi - lo
+                   shifts: list[int], tables: dict[int, list[int]],
+                   f_table: np.ndarray | None, coprime_lookup: np.ndarray | None,
+                   reduce_once: bool, scratch: tuple[np.ndarray, ...]) -> SegmentData:
+    top = lo + step * (size - 1)  # the largest n of the segment
     n, smooth, mark, quot, small, spare, gather, has = (a[:size] for a in scratch)
     index = quot.view(np.intp)  # quot is dead by the time index is written
-    smooth.fill(1)  # the part of n on the primes <= cbrt(hi - 1)
+    smooth.fill(1)  # the part of n on the primes <= cbrt(top)
     mark.fill(1)
     slots = np.zeros((k_slots, size), dtype=np.int32)
     rows = list(slots)  # 1-D row views: indexing them is cheaper than slots[r, view]
@@ -323,11 +324,11 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
             part = astar[view]
             np.subtract(p, part, out=part)
 
-    cube = bisect.bisect_right(primes, _icbrt(hi - 1))
-    root = bisect.bisect_right(primes, math.isqrt(hi - 1))
-    for p in primes[:cube]:
+    cube = bisect.bisect_right(primes, _icbrt(top))
+    root = bisect.bisect_right(primes, math.isqrt(top))
+    for p, shift in zip(primes[:cube], shifts):
         views, pk = [], p
-        while (start := -lo % pk) < size:  # views over the multiples of p, p^2, ...
+        while (start := lo * shift % pk) < size:  # views over the multiples of p, p^2, ...
             views.append(slice(start, None, pk))
             pk *= p
         for k, view in enumerate(views):
@@ -346,8 +347,8 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
             part *= gather[views[0]]
         if not reduce_once:
             part %= q
-    for p in primes[cube:root]:  # ascending, so mark ends as the largest one dividing n
-        mark[-lo % p::p] = p
+    for p, shift in zip(primes[cube:root], shifts[cube:]):
+        mark[lo * shift % p::p] = p  # ascending, so mark ends as the largest one dividing n
 
     # n / smooth is 1, p, p p' or p^2 with cbrt(hi - 1) < p <= p'; a marked
     # prime divides it, so both quotients are exact
@@ -391,20 +392,22 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, hi: int,
         gather *= q
         fmod -= gather
 
-    return SegmentData(lo=lo, hi=hi, q=q, fmod=fmod,
+    return SegmentData(lo=lo, hi=lo + step * size, q=q, fmod=fmod,
                        coprime=None if fmod is None else coprime_lookup[fmod],
-                       Omega=omega, A=a_sum, Astar=astar, slots=slots)
+                       Omega=omega, A=a_sum, Astar=astar, slots=slots, step=step)
 
 
 def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
                   k_slots: int = 4, segment_size: int = DEFAULT_SEGMENT,
-                  fields: tuple[str, ...] = FIELDS) -> Iterator[SegmentData]:
-    """Process [lo, hi] (inclusive on both ends) in independent segments.
+                  fields: tuple[str, ...] = FIELDS, step: int = 1) -> Iterator[SegmentData]:
+    """Process the n = lo, lo + step, ... <= hi in independent segments of
+    segment_size values each; gcd(lo, step) must be 1.
 
-    Results are identical for any segmentation: each segment is a pure
-    function of its own range. Only the FIELDS named in fields are computed
-    (coprime comes with fmod) and the others are None. The working arrays are
-    allocated once per call and reused; each SegmentData's arrays are its own.
+    Each n gets the same values whatever the segmentation and the step: a
+    segment is a pure function of its own n. Only the FIELDS named in fields
+    are computed (coprime comes with fmod) and the others are None. The
+    working arrays are allocated once per call and reused; each
+    SegmentData's arrays are its own.
     """
     if hi > SIEVE_GUARD:
         raise GuardExceededError(f"sieve guard {SIEVE_GUARD} exceeded by hi={hi}")
@@ -412,10 +415,23 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
         raise InvalidConfigError("sieve range starts at n >= 1")
     if segment_size < 1:
         raise InvalidConfigError(f"segment size must be >= 1, got {segment_size}")
+    if step < 1 or math.gcd(lo, step) != 1:
+        raise InvalidConfigError(f"step must be >= 1 and coprime to lo={lo}, got {step}")
     if not set(fields) <= set(FIELDS):
         raise InvalidConfigError(f"fields must be drawn from {FIELDS}, got {fields}")
     check_modulus(q)
-    primes = primes_upto(math.isqrt(hi)).tolist()
+    count = (hi - lo) // step + 1  # the n in the progression
+    if count < 1:
+        return
+    # a prime dividing step divides no n; p^k | n = lo + step i exactly when
+    # i = lo * shift mod p^k, shift = -1/step mod the first power of p above hi
+    primes = [p for p in primes_upto(math.isqrt(hi)).tolist() if step % p]
+    shifts = []
+    for p in primes:
+        pk = p
+        while pk <= hi:
+            pk *= p
+        shifts.append(-pow(step, -1, pk) % pk)
     tables: dict[int, list[int]] = {}  # p -> f(p^e) mod q, grown on demand
     f_table = coprime_lookup = None
     reduce_once = _reduce_once(q, hi)
@@ -423,16 +439,16 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
         # index 0 for no factor, 1 + r for a factor = r mod q
         f_table = np.concatenate(([1 % q], spec.F.eval_mod(np.arange(q, dtype=np.int64), q)))
         coprime_lookup = np.gcd(np.arange(q, dtype=np.int64), q) == 1
-    size = min(segment_size, hi + 1 - lo)
+    size = min(segment_size, count)
     # the working arrays: n, then smooth, mark, quot, small, spare, gather and has
-    n = np.arange(lo, lo + size, dtype=np.int32)
+    n = np.arange(lo, lo + step * size, step, dtype=np.int32)
     scratch = (n, *(np.empty(size, dtype) for dtype in (
         np.int32, np.int32, np.float64, np.int32, np.int32, np.int64, bool)))
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size, hi + 1)
-        yield _sieve_segment(spec, q, seg_lo, seg_hi, k_slots, fields, primes,
-                             tables, f_table, coprime_lookup, reduce_once, scratch)
-        n += size
+    for first in range(0, count, segment_size):
+        yield _sieve_segment(spec, q, lo + step * first, min(segment_size, count - first),
+                             step, k_slots, fields, primes, shifts, tables, f_table,
+                             coprime_lookup, reduce_once, scratch)
+        n += step * size
 
 
 def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,

@@ -2,11 +2,13 @@
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
 import signal
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from wudlab import lab, tuples
 from wudlab.cli import main
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
+from wudlab.number_core import is_prime
 from wudlab.lab import (
     CSV_COLUMNS,
     FILTERS,
@@ -31,6 +34,7 @@ from wudlab.lab import (
     growth_fit,
 )
 from wudlab.sieve import (
+    DEFAULT_SEGMENT,
     RULES,
     SIEVE_GUARD,
     ConvenientParams,
@@ -329,6 +333,106 @@ class TestFanOut:
             with pytest.raises(GuardExceededError, match="modulus guard"):
                 run_distribution_multi(_phi_spec(), 2 * 10**6, [10**6], J=1,
                                        filter_names=[])
+
+
+@functools.cache
+def _record(n: int) -> FactorizationRecord:
+    return FactorizationRecord.of(n)
+
+
+@st.composite
+def _census_cases(draw):
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+    coeffs.append(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    rule = draw(st.sampled_from(RULES))
+    table = None
+    if rule == "custom-table":  # complete up to the ladder's top of 3000
+        rnd = draw(st.randoms(use_true_random=False))
+        table = {(p, e): rnd.randrange(-10**4, 10**4) for p in range(2, 55) if is_prime(p)
+                 for e in range(2, 12) if p**e <= 3000}
+    spec = MultiplicativeSpec(F=IntPoly(tuple(coeffs)), rule=rule, custom_table=table)
+    q = draw(st.sampled_from([1, 2, 4, 12, 60]) | st.integers(1, 60))
+    # the top checkpoint sets y, which is below 2 at x = 1 only
+    top = draw(st.sampled_from([1, 2, 3]) | st.integers(1000, 3000))
+    xs = draw(st.lists(st.sampled_from([1, 2, 3]) | st.integers(1, top), max_size=3))
+    xs.append(top)
+    J = draw(st.sampled_from([1, 2]))
+    delta = draw(st.floats(0, 1, exclude_min=True))
+    return spec, q, xs, J, delta
+
+
+class TestCensusOracle:
+    """Each census against the per-n path: f_mod, P_k and is_convenient for
+    every n <= x, which knows nothing of the even n = 2^e m."""
+
+    @staticmethod
+    def _oracle(spec, q, xs, J, delta):
+        params = ConvenientParams.from_x(max(xs), delta=delta, J=J)
+        keep = {"none": lambda rec: True,
+                "pD2-rough": lambda rec: rec.P(spec.F.degree + 2) > q,
+                "p2-rough": lambda rec: rec.P(2) > q,
+                "convenient-only": lambda rec: rec.is_convenient(params)}
+        units = [a for a in range(q) if math.gcd(a, q) == 1]
+        out = []
+        for x in sorted(set(xs)):
+            for name in FILTERS:
+                counts, n_con = Counter(), 0
+                for n in range(1, x + 1):
+                    val, coprime = f_mod(spec, n, q)
+                    if coprime and keep[name](_record(n)):
+                        counts[val] += 1
+                        n_con += _record(n).is_convenient(params)
+                out.append((x, name, {a: counts[a] for a in units},
+                            sum(counts.values()), n_con))
+        return out
+
+    @given(_census_cases(), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_n_path(self, case, n):
+        spec, q, xs, J, delta = case
+        want = self._oracle(spec, q, xs, J, delta)
+        one = run_distribution_multi(spec, q, xs, delta=delta, J=J, filter_names=FILTERS)
+        with _shares(n):
+            split = run_distribution_multi(spec, q, xs, delta=delta, J=J,
+                                           filter_names=FILTERS)
+        for reps in (one, split):
+            assert [(r.x, r.filter, r.class_counts, r.n_coprime, r.n_con)
+                    for r in reps] == want
+        _no_child_left()
+
+    def test_y_below_two_counts_every_n(self):
+        # P_1(2) = 2 > y = 1.5 makes n = 2 convenient and m = 1 not, so the
+        # flags of an odd m no longer carry over to 2^e m
+        spec, q, x = _phi_spec(), 5, 3000
+        params = ConvenientParams(x=x, delta=1.0, J=1, y=1.5, z=2.0)
+        (end, [(counts, n_con)]), = lab._census(spec, q, 1, x, [x], 2, params,
+                                                ("convenient-only",))
+        want = Counter(f_mod(spec, n, q)[0] for n in range(1, x + 1)
+                       if f_mod(spec, n, q)[1] and _record(n).is_convenient(params))
+        assert end == x and n_con == sum(want.values())
+        assert {a: int(counts[a]) for a in range(1, q)} == {a: want[a] for a in range(1, q)}
+
+
+class TestCensusMemory:
+    """A census share holds one segment at a time: what it adds to the
+    segment's working set is a few bool masks per n and class counts of
+    size q, not a second segment's outputs."""
+
+    WORKING = 54  # bytes per n of a segment with fmod and 2 slots (README)
+
+    def test_peak_is_one_segment(self):
+        spec, q, x = _phi_spec(), 5, 10**6
+        params = ConvenientParams.from_x(x, J=1)
+        lab._census(spec, q, 1, 3000, [3000], 2, params, ("none",))  # build the caches
+        tracemalloc.start()
+        try:
+            lab._census(spec, q, 1, x, [x], 2, params, ("none",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the masks fit in the 8 bytes per n of one more fmod; a segment held
+        # while the next is sieved would add its 17 (fmod, coprime, 2 slots)
+        assert peak < (self.WORKING + 8) * DEFAULT_SEGMENT
 
 
 class TestScenarios:

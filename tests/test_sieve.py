@@ -461,6 +461,53 @@ class TestCubeRootSplit:
 
 
 OUTPUTS = ("fmod", "coprime", "Omega", "A", "Astar", "slots")
+
+
+class TestStep:
+    """A stepped kernel sieves the n = lo, lo + step, ... <= hi; at each of
+    them it gives what the unit-step kernel gives."""
+
+    @staticmethod
+    def _fields(segs):
+        segs = list(segs)
+        return {key: np.concatenate([getattr(s, key) for s in segs], axis=-1)
+                for key in OUTPUTS}
+
+    # odd lo near 1, 8*10^6 and 10^8; each range holds at least two segments
+    # of odd n, and n = 10^8 itself is even
+    @pytest.mark.parametrize("size", [1, 7, 4099, 1 << 15])
+    @pytest.mark.parametrize("lo", [1, 8 * 10**6 - 1001, SIEVE_GUARD - 3 * 10**5 - 1])
+    @pytest.mark.parametrize("q", [5, 999983])  # reduced once, after every prime
+    def test_odd_n_equal_unit_step(self, quad_poly, lo, size, q):
+        spec = MultiplicativeSpec(F=quad_poly)
+        hi = min(lo + max(4 * size, 600), SIEVE_GUARD)
+        odd = list(iter_segments(spec, lo, hi, q, k_slots=3, segment_size=size, step=2))
+        count = (hi - lo) // 2 + 1
+        assert [(s.lo, s.hi, s.step) for s in odd] == [
+            (lo + 2 * i, lo + 2 * min(i + size, count), 2) for i in range(0, count, size)]
+        want = self._fields(iter_segments(spec, lo, hi, q, k_slots=3,
+                                          segment_size=1 << 15))
+        got = self._fields(odd)
+        for key in OUTPUTS:
+            assert got[key].dtype == want[key].dtype
+            assert np.array_equal(got[key], want[key][..., ::2])
+
+    @pytest.mark.parametrize("step", [3, 6, 35, 210])
+    def test_other_steps_equal_unit_step(self, phi_poly, step):
+        spec = MultiplicativeSpec(F=phi_poly, rule="completely-multiplicative")
+        lo, hi = 8 * 10**6 + 11, 8 * 10**6 + 3000  # gcd(lo, 210) = 1
+        stepped = self._fields(iter_segments(spec, lo, hi, 35, k_slots=3,
+                                             segment_size=97, step=step))
+        unit = self._fields(iter_segments(spec, lo, hi, 35, k_slots=3))
+        for key in OUTPUTS:
+            assert np.array_equal(stepped[key], unit[key][..., ::step])
+
+    @pytest.mark.parametrize("lo, step", [(2, 2), (10**6, 2), (9, 3), (1, 0)])
+    def test_lo_not_coprime_to_step_rejected(self, phi_poly, lo, step):
+        with pytest.raises(InvalidConfigError, match="step"):
+            next(iter_segments(MultiplicativeSpec(F=phi_poly), lo, lo + 100, 5, step=step))
+
+
 REUSE_CASES = [(1, 700, 64), (8 * 10**6 - 300, 8 * 10**6 + 300, 128),
                (SIEVE_GUARD - 500, SIEVE_GUARD, 97)]
 
