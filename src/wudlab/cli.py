@@ -86,12 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("scenario", help="named experiment scenarios")
     sc.add_argument("name", choices=SCENARIOS)
-    sc.add_argument("--x", type=int, default=10**6)
-    sc.add_argument("--q", type=int, default=4)
-    sc.add_argument("--q1", type=int, default=5)
-    sc.add_argument("--D", type=int, default=2)
-    sc.add_argument("--poly", default="phi")
-    sc.add_argument("--rule", default="euler-like", choices=CLI_RULES)
+    # no defaults: the scenario holds them, and rejects a flag it does not take
+    sc.add_argument("--x", type=int, default=argparse.SUPPRESS)
+    sc.add_argument("--q", type=int, default=argparse.SUPPRESS)
+    sc.add_argument("--q1", type=int, default=argparse.SUPPRESS)
+    sc.add_argument("--D", type=int, default=argparse.SUPPRESS)
+    sc.add_argument("--poly", default=argparse.SUPPRESS)
+    sc.add_argument("--rule", choices=CLI_RULES, default=argparse.SUPPRESS)
     return p
 
 
@@ -229,6 +230,7 @@ def _cmd_dist(args) -> None:
 _CONFIG_KEYS = {"scenario", "polynomial", "rule", "x", "q", "q1", "d"}
 _INT_KEYS = {"x", "q", "q1", "d"}
 _PARAM_NAMES = {"polynomial": "poly", "d": "D"}  # INI key -> scenario parameter
+_SCENARIO_FLAGS = {"x", "q", "q1", "D", "poly", "rule"}  # set only when given
 
 
 def _run_config(path: Path, args) -> None:
@@ -266,15 +268,7 @@ def _run_config(path: Path, args) -> None:
 
 
 def _cmd_scenario(args) -> None:
-    params: dict = {"x": args.x}
-    if args.name == "counterexample-i":
-        params["D"] = args.D
-    elif args.name == "counterexample-ii":
-        params.update(D=args.D, q1=args.q1)
-    elif args.name == "additive":
-        params["q"] = args.q
-    else:
-        params.update(q=args.q, poly=args.poly, rule=args.rule)
+    params = {key: val for key, val in vars(args).items() if key in _SCENARIO_FLAGS}
     rep = run_scenario(args.name, **params)
     _emit(rep.to_json_dict() if args.format == "json" else
           [row for r in rep.reports for row in r.rows()], args)

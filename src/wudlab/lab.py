@@ -20,14 +20,17 @@ otherwise the census runs inline as one share.
 A distribution census sieves only the odd m of its share (iter_segments with
 step 2). f is multiplicative, so each n = 2^e m <= x with m odd has f(n) =
 c_e f(m), c_e = f(2^e) mod q, and m's segment counts n into the checkpoint
-piece that holds it; an e whose c_e is not a unit is skipped, since those n
+row that holds it; an e whose c_e is not a unit is skipped, since those n
 are never coprime and only unit classes are read. The flags of m serve
 2^e m: an appended factor 2 never passes P_k > q when q >= 2 nor P_J > y
 when y >= 2 (ConvenientParams.from_x gives y >= 2.3 for every x >= 2), and
 P_J(m) > y forces Omega(m) >= J, so the convenient flag and every filter of
 2^e m are those of m. For q = 1 or y < 2 a census sieves every n of its
-share. Each share returns one piece per checkpoint at or above its first n,
-and the parent sums the shares checkpoint by checkpoint.
+share. Each share returns two int64 arrays, the counts of every class per
+checkpoint and filter and the matching n_con, each checkpoint's row counting
+the n above the checkpoint before it. The parent adds the shares into share
+0's arrays and takes the running sum over the checkpoints in place, so the
+report at xs[j] reads row j.
 """
 
 from __future__ import annotations
@@ -118,48 +121,28 @@ class DistributionReport:
         }
 
 
-class _DistributionAccumulator:
-    """Exact per-class and convenient-split counts of one filter, summed by
-    merge from the census pieces."""
-
-    def __init__(self, spec: MultiplicativeSpec, q: int, filter_name: str = "none",
-                 scenario: str = "dist"):
-        if filter_name not in FILTERS:
-            raise InvalidConfigError(f"filter must be one of {FILTERS}")
-        check_modulus(q)
-        self.spec = spec
-        self.q = q
-        self.filter_name = filter_name
-        self.scenario = scenario
-        self.class_counts = np.zeros(q, dtype=np.int64)  # every class; only units are read
-        self.n_con = 0
-
-    def merge(self, counts: np.ndarray, n_con: int) -> None:
-        self.class_counts += counts
-        self.n_con += n_con
-
-    def snapshot(self, x: int, profile: DensityProfile) -> DistributionReport:
-        """The report at x, with profile = alpha(spec.F, q)."""
-        units = np.flatnonzero(np.gcd(np.arange(self.q), self.q) == 1)  # [0] for q = 1
-        counts = {int(a): int(self.class_counts[a]) for a in units}
-        phi_q = len(units)
-        n_coprime = sum(counts.values())
-        if n_coprime:
-            freqs = self.class_counts[units].astype(np.float64)
-            freqs *= phi_q / n_coprime
-            disc = float(np.max(np.abs(freqs - 1.0)))
-            tv = 0.5 * float(np.sum(np.abs(freqs - 1.0))) / phi_q
-        else:
-            disc = tv = 0.0
-        a = float(profile.alpha)
-        pred = x / math.log(x) ** (1 - a) if x > 1 else float(x)
-        return DistributionReport(
-            spec=self.spec.label(), scenario=self.scenario, x=x, q=self.q,
-            filter=self.filter_name, class_counts=counts,
-            n_coprime=n_coprime, n_con=self.n_con,
-            n_inc=n_coprime - self.n_con, alpha=profile.alpha,
-            discrepancy=disc, tv_distance=tv, growth_pred=pred,
-        )
+def _report(spec: MultiplicativeSpec, scenario: str, x: int, q: int, filter_name: str,
+            units: list[int], counts: np.ndarray, n_con: int,
+            profile: DensityProfile) -> DistributionReport:
+    """The report at x from one filter's counts of the unit classes units,
+    with profile = alpha(spec.F, q)."""
+    phi_q = len(units)
+    n_coprime = int(counts.sum())
+    if n_coprime:
+        freqs = counts.astype(np.float64)
+        freqs *= phi_q / n_coprime
+        disc = float(np.max(np.abs(freqs - 1.0)))
+        tv = 0.5 * float(np.sum(np.abs(freqs - 1.0))) / phi_q
+    else:
+        disc = tv = 0.0
+    a = float(profile.alpha)
+    pred = x / math.log(x) ** (1 - a) if x > 1 else float(x)
+    return DistributionReport(
+        spec=spec.label(), scenario=scenario, x=x, q=q, filter=filter_name,
+        class_counts=dict(zip(units, counts.tolist())),
+        n_coprime=n_coprime, n_con=n_con, n_inc=n_coprime - n_con,
+        alpha=profile.alpha, discrepancy=disc, tv_distance=tv, growth_pred=pred,
+    )
 
 
 def _k_slots(spec: MultiplicativeSpec, params: ConvenientParams,
@@ -258,11 +241,11 @@ def _add_classes(counts: np.ndarray, classes: np.ndarray, c: int, spread: dict) 
 
 def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int],
             k_slots: int, params: ConvenientParams,
-            filter_names: Sequence[str]) -> list[tuple[int, list[tuple[np.ndarray, int]]]]:
+            filter_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The class counts and n_con of each filter over the n = 2^e m <= xs[-1]
-    with m odd in [lo, hi] (every n in [lo, hi] when q = 1 or y < 2), in
-    pieces (end, [(class_counts, n_con) per filter]): one for each checkpoint
-    end >= lo, counting the n above the checkpoint before it."""
+    with m odd in [lo, hi] (every n in [lo, hi] when q = 1 or y < 2), as the
+    int64 arrays counts[j, f, class] and n_con[j, f], where row j counts the
+    n in (xs[j - 1], xs[j]]."""
     x = xs[-1]
     step = 2 if q > 1 and params.y >= 2 else 1  # see the module docstring
     lo |= step - 1  # the first odd m >= lo when step = 2
@@ -273,14 +256,13 @@ def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int
         c = spec.value_at_prime_power(2, e, q)
         if math.gcd(c, q) == 1:
             scales.append((1 << e, c))
-    ends = [end for end in xs if end >= lo]
-    counts = [[np.zeros(q, dtype=np.int64) for _ in filter_names] for _ in ends]
-    n_con = [[0] * len(filter_names) for _ in ends]
+    counts = np.zeros((len(xs), len(filter_names), q), dtype=np.int64)
+    n_con = np.zeros((len(xs), len(filter_names)), dtype=np.int64)
     spread: dict[int, np.ndarray] = {}
 
     def add(seg: SegmentData) -> None:
         convenient = seg.convenient(params)
-        # n is coprime exactly when f(n) mod q is a unit class, and snapshot reads
+        # n is coprime exactly when f(n) mod q is a unit class, and _report reads
         # only unit classes: the class counts need no coprime mask
         con = seg.coprime & convenient
         kept = []  # per filter: the classes it keeps, their con flags and its mask
@@ -289,9 +271,10 @@ def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int
             kept.append((seg.fmod, con, None) if mask is None else
                         (seg.fmod[mask], con & mask, mask))
         for scale, c in scales:
-            # n = scale (seg.lo + step i) <= end exactly for the i below bounds[j]
+            # n = scale (seg.lo + step i) <= xs[j] exactly for the i below bounds[j],
+            # so the rows of the checkpoints below lo stay empty
             bounds = [min(max((end // scale - seg.lo) // step + 1, 0), len(seg.fmod))
-                      for end in ends]
+                      for end in xs]
             if not bounds[-1]:
                 break
             for j, (a, b) in enumerate(zip([0, *bounds], bounds)):
@@ -300,14 +283,14 @@ def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int
                 for f, (classes, flags, mask) in enumerate(kept):
                     ia, ib = (a, b) if mask is None else (
                         np.count_nonzero(mask[:a]), np.count_nonzero(mask[:b]))
-                    _add_classes(counts[j][f], classes[ia:ib], c, spread)
-                    n_con[j][f] += int(np.count_nonzero(flags[a:b]))
+                    _add_classes(counts[j, f], classes[ia:ib], c, spread)
+                    n_con[j, f] += np.count_nonzero(flags[a:b])
 
     for seg in iter_segments(spec, lo, hi, q, k_slots=k_slots, fields=("fmod",),
                              step=step):
         add(seg)
         del seg  # the next segment is sieved without this one
-    return [(end, list(zip(counts[j], n_con[j]))) for j, end in enumerate(ends)]
+    return counts, n_con
 
 
 def run_distribution(spec: MultiplicativeSpec, q: int, x: int, *,
@@ -326,23 +309,30 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
                            scenario: str = "dist") -> list[DistributionReport]:
     """One sieve pass shared across increasing x checkpoints and filters."""
     xs = sorted(set(int(x) for x in xs))
-    filter_names = tuple(filter_names)  # read by the accumulators, _k_slots and each share
+    filter_names = tuple(filter_names)  # read by _k_slots and each share
     if not xs or xs[0] < 1:
         raise InvalidConfigError("x must be >= 1" if xs else "no x checkpoints given")
     params = ConvenientParams.from_x(xs[-1], delta=delta, J=J if J is not None else 1)
-    accs = [_DistributionAccumulator(spec, q, f, scenario) for f in filter_names]
+    if any(f not in FILTERS for f in filter_names):
+        raise InvalidConfigError(f"filter must be one of {FILTERS}")
+    check_modulus(q)
     profile = alpha(spec.F, q)
     k_slots = _k_slots(spec, params, filter_names)
-    shares = [dict(pieces) for pieces in _fan_out(
+    (counts, n_con), *rest = _fan_out(
         lambda lo, hi: _census(spec, q, lo, hi, xs, k_slots, params, filter_names),
-        q, xs[-1])]
-    reports: list[DistributionReport] = []
-    for x in xs:
-        for share in shares:
-            for acc, (class_counts, n_con) in zip(accs, share.get(x, ())):
-                acc.merge(class_counts, n_con)
-        reports += [acc.snapshot(x, profile) for acc in accs]
-    return reports
+        q, xs[-1])
+    for share_counts, share_n_con in rest:
+        counts += share_counts
+        n_con += share_n_con
+    del rest  # the reports are built without the other shares' arrays
+    for j in range(1, len(xs)):  # counts[j] becomes the count of every n <= xs[j]
+        counts[j] += counts[j - 1]
+        n_con[j] += n_con[j - 1]
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
+    keys = units.tolist()  # one list, so every report's dict shares its ints
+    return [_report(spec, scenario, x, q, f, keys, counts[j, i, units], int(n_con[j, i]),
+                    profile)
+            for j, x in enumerate(xs) for i, f in enumerate(filter_names)]
 
 
 @dataclass(frozen=True)
@@ -408,15 +398,10 @@ class AdditiveReport:
 
     def rows(self) -> list[dict]:
         expected = self.x / self.q
-        return [
-            {"scenario": self.scenario, "spec": "A(n)", "x": self.x, "q": self.q,
-             "a": a, "count": c, "expected": expected, "ratio": c / expected}
-            for a, c in sorted(self.counts_a.items())
-        ] + [
-            {"scenario": self.scenario, "spec": "A*(n)", "x": self.x, "q": self.q,
-             "a": a, "count": c, "expected": expected, "ratio": c / expected}
-            for a, c in sorted(self.counts_astar.items())
-        ]
+        return [{"scenario": self.scenario, "spec": spec, "x": self.x, "q": self.q,
+                 "a": a, "count": c, "expected": expected, "ratio": c / expected}
+                for spec, counts in (("A(n)", self.counts_a), ("A*(n)", self.counts_astar))
+                for a, c in sorted(counts.items())]
 
     def to_json_dict(self) -> dict:
         return {
@@ -449,8 +434,8 @@ def run_additive(q: int, x: int, scenario: str = "additive") -> AdditiveReport:
     dev_a = float(np.max(np.abs(counts_a / exp - 1.0)))
     dev_s = float(np.max(np.abs(counts_s / exp - 1.0)))
     return AdditiveReport(scenario=scenario, x=x, q=q,
-                          counts_a={a: int(c) for a, c in enumerate(counts_a)},
-                          counts_astar={a: int(c) for a, c in enumerate(counts_s)},
+                          counts_a=dict(enumerate(counts_a.tolist())),
+                          counts_astar=dict(enumerate(counts_s.tolist())),
                           max_rel_dev_a=dev_a, max_rel_dev_astar=dev_s)
 
 

@@ -1,8 +1,8 @@
 """Integer and modular-arithmetic foundation.
 
 Factorization into prime powers, CRT, cyclic unit-group structure modulo
-odd prime powers, and reciprocal sums of primes in arithmetic progressions.
-All values are immutable after construction and safe to share.
+odd prime powers, and the primes up to SIEVE_GUARD. All values are
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -21,10 +21,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10**6  # trial-divide with primes below this, MR the cofactor
 
+SIEVE_GUARD = 10**8  # the largest n any sieve runs to: primes_upto and iter_segments
+
 
 @lru_cache(maxsize=8)
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array (simple Eratosthenes)."""
+    if n > SIEVE_GUARD:
+        raise GuardExceededError(f"sieve guard {SIEVE_GUARD} exceeded by n={n}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     sieve = np.ones(n + 1, dtype=bool)
@@ -210,54 +214,3 @@ def unit_group(ell: int, e: int, guard: int = 10**7) -> UnitGroupView:
         u = u * g % m
     assert u == 1, "generator order mismatch"
     return UnitGroupView(ell=ell, e=e, modulus=m, generator=g, order=order, log_table=table)
-
-
-@dataclass(frozen=True)
-class ProgressionSumReport:
-    """sum_{p <= x, p = a (q)} 1/p against the Norton-Pomerance main term."""
-
-    x: float
-    q: int
-    a: int
-    sum: float
-    least_prime: int | None
-    predicted: float | None
-    residual: float | None
-
-
-def progression_prime_sums(x: float, q: int) -> dict[int, ProgressionSumReport]:
-    """Reciprocal prime sums in every coprime class mod q, one prime pass.
-
-    The main-term comparison is log log x / phi(q) + 1/p_{q,a}, with
-    p_{q,a} the least prime in the class. q = 1 is the single class a = 0
-    summing over all primes <= x.
-    """
-    if x < max(3, q):
-        raise InvalidConfigError(f"need x >= max(3, q), got x={x}, q={q}")
-    ps = primes_upto(int(x))
-    loglogx = math.log(math.log(x))
-    if q == 1:
-        s = math.fsum(1.0 / p for p in ps)
-        pred = loglogx + 0.5  # 1/p_{1,0} convention: least prime is 2
-        return {
-            0: ProgressionSumReport(
-                x=x, q=1, a=0, sum=s, least_prime=2, predicted=pred, residual=s - pred
-            )
-        }
-    classes = ps % q
-    phi_q = factor(q).phi
-    out: dict[int, ProgressionSumReport] = {}
-    for a in range(q):
-        if math.gcd(a, q) != 1:
-            continue
-        sel = ps[classes == a]
-        s = math.fsum(1.0 / p for p in sel)
-        least = int(sel[0]) if sel.size else None
-        if least is None:
-            out[a] = ProgressionSumReport(x=x, q=q, a=a, sum=s, least_prime=None,
-                                          predicted=None, residual=None)
-        else:
-            pred = loglogx / phi_q + 1.0 / least
-            out[a] = ProgressionSumReport(x=x, q=q, a=a, sum=s, least_prime=least,
-                                          predicted=pred, residual=s - pred)
-    return out

@@ -54,10 +54,9 @@ from typing import Iterator
 import numpy as np
 
 from wudlab.errors import GuardExceededError, InvalidConfigError
-from wudlab.number_core import factor, is_prime, primes_upto
+from wudlab.number_core import SIEVE_GUARD, factor, is_prime, primes_upto
 from wudlab.poly import IntPoly
 
-SIEVE_GUARD = 10**8
 RECORD_GUARD = 10**6
 # with fmod and 2 slots a segment works on 54 bytes per n, 37 of them reused
 # scratch and 17 its outputs: 1 769 472 < 2 MiB L2
@@ -190,16 +189,6 @@ class FactorizationRecord:
                 return p
             i -= e
         return 1
-
-    def rough_smooth(self, y: float) -> tuple[int, int]:
-        """(largest divisor on primes > y, largest divisor on primes <= y)."""
-        rough = smooth = 1
-        for p, e in self.prime_powers:
-            if p > y:
-                rough *= p**e
-            else:
-                smooth *= p**e
-        return rough, smooth
 
     def is_convenient(self, params: ConvenientParams) -> bool:
         if self.n > params.x:

@@ -405,11 +405,11 @@ class TestCensusOracle:
         # flags of an odd m no longer carry over to 2^e m
         spec, q, x = _phi_spec(), 5, 3000
         params = ConvenientParams(x=x, delta=1.0, J=1, y=1.5, z=2.0)
-        (end, [(counts, n_con)]), = lab._census(spec, q, 1, x, [x], 2, params,
+        ((counts,),), ((n_con,),) = lab._census(spec, q, 1, x, [x], 2, params,
                                                 ("convenient-only",))
         want = Counter(f_mod(spec, n, q)[0] for n in range(1, x + 1)
                        if f_mod(spec, n, q)[1] and _record(n).is_convenient(params))
-        assert end == x and n_con == sum(want.values())
+        assert n_con == sum(want.values())
         assert {a: int(counts[a]) for a in range(1, q)} == {a: want[a] for a in range(1, q)}
 
 
@@ -526,6 +526,11 @@ class TestCli:
 
     def test_guard_exit_3(self, capsys):
         assert main(["chars", "--poly", "phi", "--ell", "101", "--e", "4"]) == 3
+
+    def test_density_x_guard_exit_3(self, capsys):
+        # the prime sum lists the primes up to x: refused before the list is built
+        assert main(["density", "--poly", "phi", "--q", "5", "--x", "1e10"]) == 3
+        assert "sieve guard" in capsys.readouterr().err
 
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
@@ -659,6 +664,25 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"unknown scenario parameters: ['{param}']" in capsys.readouterr().err
         assert not (tmp_path / "wudlab-report.json").exists()
+
+    # a scenario flag the named scenario does not take exits 2, as its INI key does
+    @pytest.mark.parametrize("argv, param", [
+        (["counterexample-i", "--q", "7"], "q"),
+        (["counterexample-ii", "--poly", "sigma"], "poly"),
+        (["additive", "--rule", "completely-multiplicative"], "rule"),
+        (["restricted-a", "--D", "3"], "D"),
+    ])
+    def test_scenario_flag_not_taken_exit_2(self, capsys, argv, param):
+        assert main(["scenario", *argv, "--x", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown scenario parameters: ['{param}']" in captured.err
+
+    def test_scenario_flag_left_out_takes_scenario_default(self, capsys):
+        assert main(["scenario", "restricted-b", "--x", "1000"]) == 0
+        want = run_scenario("restricted-b", x=1000).to_json_dict()
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(want))
+        assert {r["q"] for r in want["reports"]} == {35}
 
     @pytest.mark.parametrize("key, value, shown", [
         ("x", "1e4", "x = '1e4'"), ("q", "five", "q = 'five'"), ("D", "2.0", "D = '2.0'"),

@@ -1,4 +1,4 @@
-"""Foundation layer: factorization, CRT, unit groups, progression sums."""
+"""Foundation layer: factorization, CRT, unit groups, the prime list."""
 
 import math
 from collections import Counter
@@ -16,7 +16,6 @@ from wudlab.number_core import (
     factor,
     is_prime,
     primes_upto,
-    progression_prime_sums,
     unit_group,
 )
 
@@ -99,6 +98,12 @@ class TestPrimes:
         assert list(primes_upto(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert primes_upto(1).size == 0
 
+    def test_primes_upto_guard(self):
+        # refused before the sieve of n + 1 flags is allocated
+        for n in (number_core.SIEVE_GUARD + 1, 10**10):
+            with pytest.raises(GuardExceededError, match="sieve guard"):
+                primes_upto(n)
+
     @given(st.integers(min_value=2, max_value=10**5))
     def test_is_prime_matches_trial_division(self, n):
         assert is_prime(n) == all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -180,40 +185,3 @@ class TestUnitGroup:
     def test_guard(self):
         with pytest.raises(GuardExceededError):
             unit_group(10**9 + 7, 2)
-
-
-class TestProgressionSums:
-    def test_least_primes_mod_5(self):
-        reps = progression_prime_sums(100, 5)
-        assert set(reps) == {1, 2, 3, 4}
-        assert reps[2].least_prime == 2
-        assert reps[4].least_prime == 19
-
-    def test_q1_single_class(self):
-        reps = progression_prime_sums(10**4, 1)
-        assert set(reps) == {0}
-        assert reps[0].least_prime == 2
-        # plain Mertens sum: close to log log x + M (M ~ 0.2615)
-        drift = reps[0].sum - math.log(math.log(10**4))
-        assert abs(drift - 0.2615) < 0.05
-
-    def test_sum_monotone_in_x(self):
-        lo = progression_prime_sums(10**3, 7)
-        hi = progression_prime_sums(10**5, 7)
-        for a in lo:
-            assert hi[a].sum >= lo[a].sum
-
-    def test_residual_shape(self):
-        # |residual| <= C log(3q) / phi(q) with one constant across the panel
-        # (C frozen from a full q <= 100 scan; max observed scaled residual 0.47)
-        C = 0.75
-        for x in (10**4, 10**5):
-            for q in (3, 5, 7, 12, 35, 60, 97, 100):
-                phi_q = factor(q).phi
-                for rep in progression_prime_sums(x, q).values():
-                    assert rep.residual is not None
-                    assert abs(rep.residual) <= C * math.log(3 * q) / phi_q
-
-    def test_small_x_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            progression_prime_sums(2, 5)

@@ -114,12 +114,6 @@ class TestFactorizationRecord:
         assert FactorizationRecord.of(924).is_convenient(params)  # 11 > 7 > 5
         assert not FactorizationRecord.of(49).is_convenient(params)  # 7 = 7
 
-    def test_rough_smooth_reconstructs(self):
-        rec = FactorizationRecord.of(360)
-        rough, smooth = rec.rough_smooth(4.0)
-        assert rough * smooth == 360
-        assert rough == 5  # primes 2 and 3 are both <= 4
-
     @given(st.integers(min_value=2, max_value=10**6))
     @settings(max_examples=200)
     def test_pk_nonincreasing(self, n):
