@@ -20,8 +20,6 @@ from wudlab.density import alpha
 from wudlab.number_core import UnitGroupView, factor, is_prime, unit_group
 from wudlab.poly import IntPoly, is_admissible_prime
 
-TABLE_GUARD = 10**6
-
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -78,7 +76,7 @@ class CharacterTable:
 def build_character_table(ell: int, e: int) -> CharacterTable:
     if ell == 2:
         raise InvalidConfigError("characters mod powers of 2 are out of scope")
-    view = unit_group(ell, e, guard=TABLE_GUARD)
+    view = unit_group(ell, e)
     return CharacterTable(ell=ell, e=e, modulus=ell**e, unit_view=view)
 
 

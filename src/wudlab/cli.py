@@ -11,17 +11,16 @@ import argparse
 import configparser
 import csv
 import itertools
-import json
 import math
 import sys
 from pathlib import Path
 
 from wudlab.density import alpha, xi_max_roots
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
-from wudlab.lab import FILTERS, SCENARIOS, export_report, run_distribution, run_scenario
+from wudlab.lab import FILTERS, SCENARIOS, export_report, run_distribution, run_scenario, \
+    write_records
 from wudlab.poly import parse_poly
-from wudlab.sieve import DEFAULT_SEGMENT, RULES, ConvenientParams, MultiplicativeSpec, \
-    sieve_range
+from wudlab.sieve import RULES, ConvenientParams, MultiplicativeSpec, sieve_range
 from wudlab.characters import build_character_table, curve_point_count, z_chi
 from wudlab.tuples import count_v_double, hypothesis_a_ratio, \
     additive_tuple_counts
@@ -54,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--delta", type=float, default=1.0)
     s.add_argument("--J", type=int, default=None)
-    s.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT)
     s.add_argument("--dump", type=Path, help="CSV of per-n records")
 
     c = sub.add_parser("chars", help="character sums Z_chi mod ell^e")
@@ -97,17 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(obj, args) -> None:
-    if args.format == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True, default=str))
-    else:
-        if isinstance(obj, dict):
-            obj = [obj]
-        keys = {k for r in obj for k in r}
-        from wudlab.lab import CSV_COLUMNS
-        fields = list(CSV_COLUMNS) if keys <= set(CSV_COLUMNS) else sorted(keys)
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(obj)
+    write_records(obj, args.format, sys.stdout)
+
+
+def _emit_report(rep, args) -> None:
+    _emit(rep.to_json_dict() if args.format == "json" else rep.rows(), args)
 
 
 def _cmd_density(args) -> None:
@@ -143,8 +135,7 @@ def _cmd_density(args) -> None:
 def _cmd_sieve(args) -> None:
     spec = MultiplicativeSpec(F=parse_poly(args.poly), rule=args.rule)
     params = ConvenientParams.from_x(args.x, delta=args.delta, J=args.J)
-    rows = sieve_range(spec, 1, args.x, args.q, params,
-                       segment_size=args.segment_size)
+    rows = sieve_range(spec, 1, args.x, args.q, params)
     if args.dump:
         first = next(rows)  # one row per n in [1, x], streamed to the file
         with open(args.dump, "w", newline="") as fh:
@@ -218,12 +209,8 @@ def _cmd_tuples(args) -> None:
 
 def _cmd_dist(args) -> None:
     spec = MultiplicativeSpec(F=parse_poly(args.poly), rule=args.rule)
-    rep = run_distribution(spec, args.q, args.x, delta=args.delta, J=args.J,
-                           filter_name=args.filter)
-    if args.format == "json":
-        _emit(rep.to_json_dict(), args)
-    else:
-        _emit(rep.rows(), args)
+    _emit_report(run_distribution(spec, args.q, args.x, delta=args.delta, J=args.J,
+                                  filter_name=args.filter), args)
 
 
 # configparser lowercases option names, so the key D arrives as d
@@ -260,18 +247,15 @@ def _run_config(path: Path, args) -> None:
                                          f"{kv[key]!r} is not an integer") from None
         reports.append(run_scenario(name, **{_PARAM_NAMES.get(key, key): val
                                              for key, val in kv.items()}))
-    fmt = args.format
-    out = args.out / f"wudlab-report.{fmt}"
+    out = args.out / f"wudlab-report.{args.format}"
     args.out.mkdir(parents=True, exist_ok=True)
-    export_report(reports, fmt, out)
+    export_report(reports, args.format, out)
     print(f"wrote {out}")
 
 
 def _cmd_scenario(args) -> None:
     params = {key: val for key, val in vars(args).items() if key in _SCENARIO_FLAGS}
-    rep = run_scenario(args.name, **params)
-    _emit(rep.to_json_dict() if args.format == "json" else
-          [row for r in rep.reports for row in r.rows()], args)
+    _emit_report(run_scenario(args.name, **params), args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -84,15 +84,6 @@ class DensityProfile:
     locals: tuple[LocalDensity, ...]
     lower_bound_ref: float  # (log log 3q)^(-D), unscaled comparator
 
-    @property
-    def alpha_float(self) -> float:
-        return float(self.alpha)
-
-    @property
-    def zero_primes(self) -> tuple[int, ...]:
-        """Primes responsible for alpha = 0, if any."""
-        return tuple(ld.ell for ld in self.locals if ld.alpha_local == 0)
-
 
 @lru_cache(maxsize=1 << 14)
 def _local_density(F: IntPoly, ell: int, e: int) -> LocalDensity:

@@ -1,6 +1,6 @@
-"""Experiment orchestration: full distribution runs over [1, x], coprime-
-count growth fits, the counterexample and restricted-input scenarios, the
-additive-function runs, and CSV/JSON report emission.
+"""Experiment orchestration: full distribution runs over [1, x], the
+counterexample and restricted-input scenarios, the additive-function runs,
+and the one CSV/JSON writer of every report and command output.
 
 One sieve pass can serve several x checkpoints and several filters; all
 counts are exact and deterministic for a fixed configuration.
@@ -336,55 +336,6 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
 
 
 @dataclass(frozen=True)
-class GrowthRow:
-    x: int
-    n_coprime: int
-    pred: float
-    log_ratio: float  # log(N_coprime / pred)
-
-
-@dataclass(frozen=True)
-class GrowthFitReport:
-    spec: str
-    q: int
-    alpha: Fraction
-    rows: tuple[GrowthRow, ...]
-
-    @property
-    def log_ratio_window(self) -> float:
-        vals = [r.log_ratio for r in self.rows]
-        return max(vals) - min(vals)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION, "type": "growth",
-            "spec": self.spec, "q": self.q,
-            "alpha": [self.alpha.numerator, self.alpha.denominator],
-            "rows": [vars(r) for r in self.rows],
-            "log_ratio_window": self.log_ratio_window,
-        }
-
-
-def growth_fit(spec: MultiplicativeSpec, q: int,
-                   xs: Sequence[int]) -> GrowthFitReport:
-    """N_coprime against x / (log x)^(1 - alpha) across an x ladder.
-
-    The log-ratio column absorbs the exp(O((log log 3q)^O(1))) factor; the
-    report records it for a boundedness check, never a pointwise one.
-    """
-    prof = alpha(spec.F, q)
-    if prof.alpha == 0:
-        raise InvalidConfigError(
-            f"alpha({q}) = 0 (degenerate primes {prof.zero_primes}); no prediction"
-        )
-    rows = [GrowthRow(x=rep.x, n_coprime=rep.n_coprime, pred=rep.growth_pred,
-                      log_ratio=math.log(rep.n_coprime / rep.growth_pred))
-            for rep in run_distribution_multi(spec, q, xs, scenario="growth")]
-    return GrowthFitReport(spec=spec.label(), q=q, alpha=prof.alpha,
-                            rows=tuple(rows))
-
-
-@dataclass(frozen=True)
 class AdditiveReport:
     """Class counts of A(n) and A*(n) mod q over n <= x (all classes)."""
 
@@ -444,6 +395,9 @@ class ScenarioReport:
     name: str
     reports: tuple
     summary: dict
+
+    def rows(self) -> list[dict]:
+        return [row for r in self.reports for row in r.rows()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -559,22 +513,30 @@ def _reject_extra(extra: dict) -> None:
         raise InvalidConfigError(f"unknown scenario parameters: {sorted(extra)}")
 
 
+def write_records(obj, fmt: str, fh) -> None:
+    """Write obj to the text stream fh: for fmt "json" as JSON (indent 2,
+    sorted keys, a trailing newline); for "csv", obj being a dict or a list
+    of dicts, as rows under CSV_COLUMNS when their keys fit, else under
+    their sorted keys."""
+    if fmt == "json":
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n")
+        return
+    rows = [obj] if isinstance(obj, dict) else obj
+    keys = {k for r in rows for k in r}
+    writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS) if keys <= set(CSV_COLUMNS)
+                            else sorted(keys))
+    writer.writeheader()
+    writer.writerows(rows)
+
+
 def export_report(reports: Iterable, fmt: str, path: str | Path) -> Path:
-    """Write reports as CSV (fixed columns) or JSON (typed records)."""
-    path = Path(path)
-    reports = list(reports)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for rep in reports:
-                for sub in (rep.reports if isinstance(rep, ScenarioReport) else [rep]):
-                    if hasattr(sub, "rows"):
-                        writer.writerows(sub.rows())
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
+    """Write reports to path: a list of their JSON records, or all their
+    CSV rows."""
+    if fmt not in ("csv", "json"):
         raise InvalidConfigError(f"format must be csv or json, got {fmt!r}")
+    path = Path(path)
+    obj = ([r.to_json_dict() for r in reports] if fmt == "json" else
+           [row for r in reports for row in r.rows()])
+    with open(path, "w", newline="") as fh:
+        write_records(obj, fmt, fh)
     return path

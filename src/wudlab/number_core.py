@@ -1,8 +1,9 @@
 """Integer and modular-arithmetic foundation.
 
-Factorization into prime powers, CRT, cyclic unit-group structure modulo
-odd prime powers, and the primes up to SIEVE_GUARD. All values are
-immutable after construction and safe to share.
+Factorization into prime powers (trial division, then Pollard-Brent rho),
+CRT, cyclic unit-group structure modulo odd prime powers, and the primes up
+to SIEVE_GUARD. All values are immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from wudlab.errors import GuardExceededError, InvalidConfigError
 # Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_LIMIT = 10**6  # trial-divide with primes below this, MR the cofactor
+_TRIAL_LIMIT = 10**6  # trial-divide with primes below this; rho splits a composite cofactor
 
 SIEVE_GUARD = 10**8  # the largest n any sieve runs to: primes_upto and iter_segments
+
+TABLE_GUARD = 10**6  # the largest unit group given a discrete-log table
 
 
 @lru_cache(maxsize=8)
@@ -118,26 +121,53 @@ def factor(n: int) -> FactoredModulus:
             factors.append((p, e))
         p += wheel[i]
         i = (i + 1) % 8
-    if m > 1:
-        if p * p > m or is_prime(m):  # the loop ran past sqrt(m): m is prime
+    if m > 1:  # every prime factor of m is >= p
+        if p * p > m:  # the loop ran past sqrt(m): m is prime
             factors.append((m, 1))
         else:
-            # Cofactor with all prime factors >= 10^6: at most two of them
-            # at word scale; fall back to a sqrt scan.
-            r = math.isqrt(m)
-            while m % r:
-                r -= 1
-            assert r > 1 and is_prime(r) and is_prime(m // r)
-            small, big = sorted((r, m // r))
-            if small == big:
-                factors.append((small, 2))
-            else:
-                factors.extend([(small, 1), (big, 1)])
+            big = _prime_factors(m)
+            factors.extend((ell, big.count(ell)) for ell in set(big))
     factors.sort()
     phi = 1
     for ell, e in factors:
         phi *= ell ** (e - 1) * (ell - 1)
     return FactoredModulus(q=n, factors=tuple(factors), phi=phi, omega=len(factors))
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n > 1 with multiplicity, in no order."""
+    if is_prime(n):
+        return [n]
+    d = _rho(n)
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
+def _rho(n: int) -> int:
+    """A factor 1 < d < n of the odd composite n (Pollard-Brent rho, with
+    one gcd per batch of 128 steps)."""
+    c, d = 0, n
+    while d == n:  # the walk of x^2 + c met no proper factor: take the next c
+        c += 1
+        y, r, acc, d = 2, 1, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                d = math.gcd(acc, n)
+                if d != 1:
+                    break
+            r *= 2
+        if d == n:  # the batch overshot: replay it one step at a time
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(abs(x - ys), n)
+    return d
 
 
 def crt_solve(residues: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -188,7 +218,7 @@ class UnitGroupView:
 
 
 @lru_cache(maxsize=256)
-def unit_group(ell: int, e: int, guard: int = 10**7) -> UnitGroupView:
+def unit_group(ell: int, e: int) -> UnitGroupView:
     """UnitGroupView for (Z/ell^e)^* with ell an odd prime, e >= 1."""
     if ell == 2:
         raise InvalidConfigError("unit groups mod powers of 2 are not supported")
@@ -196,8 +226,8 @@ def unit_group(ell: int, e: int, guard: int = 10**7) -> UnitGroupView:
         raise InvalidConfigError(f"unit_group needs an odd prime and e >= 1, got ({ell}, {e})")
     m = ell**e
     order = ell ** (e - 1) * (ell - 1)
-    if order > guard:
-        raise GuardExceededError(f"phi({ell}^{e}) = {order} exceeds table guard {guard}")
+    if order > TABLE_GUARD:
+        raise GuardExceededError(f"phi({ell}^{e}) = {order} exceeds table guard {TABLE_GUARD}")
     cofactors = [order // p for p, _ in factor(order).factors]
     g = None
     for cand in range(2, m):

@@ -136,11 +136,11 @@ class ConvenientParams:
     z: float
 
     @classmethod
-    def from_x(cls, x: float, delta: float = 1.0, J: int | None = None,
-               y: float | None = None) -> "ConvenientParams":
+    def from_x(cls, x: float, delta: float = 1.0,
+               J: int | None = None) -> "ConvenientParams":
         """Derive J = floor(log log log x) and y = exp((log x)^(delta/2)).
 
-        Explicit J/y overrides are allowed (any slowly growing J works for
+        An explicit J override is allowed (any slowly growing J works for
         the heuristics; desk-scale x only ever reaches J = 1 naturally, and
         x <= e^(e^e) has no valid J at all without an override).
         """
@@ -158,8 +158,7 @@ class ConvenientParams:
             J = j_natural
         if J < 1:
             raise InvalidConfigError("J must be >= 1")
-        if y is None:
-            y = math.exp(logx ** (delta / 2))
+        y = math.exp(logx ** (delta / 2))
         z = x ** (1.0 / math.log(logx)) if logx > 1 else x
         return cls(x=x, delta=delta, J=J, y=y, z=z)
 
@@ -441,15 +440,13 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
 
 
 def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
-                params: ConvenientParams,
-                segment_size: int = DEFAULT_SEGMENT) -> Iterator[dict]:
+                params: ConvenientParams) -> Iterator[dict]:
     """Per-n rows (n, f_mod_q, coprime, Omega, P1, P2, convenient) for n in
     [lo, hi]; for desk-scale record dumps."""
     if hi - lo + 1 > RECORD_GUARD:
         raise GuardExceededError(f"record streaming capped at {RECORD_GUARD} values")
     k_slots = max(params.J + 1, 2)
-    for seg in iter_segments(spec, lo, hi, q, k_slots=k_slots,
-                             segment_size=segment_size, fields=("fmod", "Omega")):
+    for seg in iter_segments(spec, lo, hi, q, k_slots=k_slots, fields=("fmod", "Omega")):
         columns = (seg.fmod, seg.coprime, seg.Omega, seg.P(1), seg.P(2),
                    seg.convenient(params))
         for n, f, c, o, p1, p2, conv in zip(range(seg.lo, seg.hi),

@@ -63,9 +63,9 @@ class VPrimeReport:
         return self.formula
 
 
-def count_v_prime(F: IntPoly, q: FactoredModulus | int, J: int,
-                  brute_guard: int = BRUTE_GUARD) -> VPrimeReport:
-    """#V'_q by the exact formula, with a brute count when guarded in."""
+def count_v_prime(F: IntPoly, q: FactoredModulus | int, J: int) -> VPrimeReport:
+    """#V'_q by the exact formula, checked by a brute count when
+    phi(q)^J <= BRUTE_GUARD."""
     if isinstance(q, int):
         q = factor(q)
     _require_odd(q)
@@ -77,7 +77,7 @@ def count_v_prime(F: IntPoly, q: FactoredModulus | int, J: int,
         raise ConsistencyError("phi(q) alpha(q) must be an integer")
     formula = int(base) ** J
     brute = None
-    if q.phi**J <= brute_guard:
+    if q.phi**J <= BRUTE_GUARD:
         brute = int(_good_values(F, q.q).size) ** J
         if brute != formula:
             raise ConsistencyError(
@@ -346,19 +346,18 @@ def _additive_prime_power_count(ell: int, e: int, J: int, w: int) -> int:
 @lru_cache(maxsize=8)  # one table answers every target w
 def _additive_brute_all(q: int, J: int) -> np.ndarray:
     """Row 0: #V_q(w), row 1: #V*_q(w) for every w, by explicit enumeration
-    of the unit J-tuples; read-only, since the cache shares it. The sums are
-    enumerated once: negating the odd-indexed entries maps the unit tuples
-    onto themselves and each alternating sum onto a sum, so the rows agree."""
+    of the phi(q)^J unit J-tuples; read-only, since the cache shares it. The
+    sums are enumerated once: negating the odd-indexed entries maps the unit
+    tuples onto themselves and each alternating sum onto a sum, so the rows
+    agree."""
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
-    if units.size**J > BRUTE_GUARD:
-        raise GuardExceededError("additive brute enumeration guard exceeded")
     counts = _tuple_table(np.broadcast_to(units, (J, units.size)), q, np.add)
     return np.broadcast_to(counts, (2, q))  # a read-only view
 
 
-def additive_tuple_counts(q: int, J: int, w: int,
-                          brute: bool = True) -> AdditiveTupleReport:
-    """#V_q(w) and #V*_q(w) with the exact prime-power formula.
+def additive_tuple_counts(q: int, J: int, w: int) -> AdditiveTupleReport:
+    """#V_q(w) and #V*_q(w) with the exact prime-power formula, checked by
+    the brute counts when phi(q)^J <= BRUTE_GUARD.
 
     The closed form holds for every prime power including 2^e, where it
     reduces exactly to the parity factor times phi(q)^J / q.
@@ -369,14 +368,9 @@ def additive_tuple_counts(q: int, J: int, w: int,
     formula = 1
     for ell, e in fm.factors:
         formula *= _additive_prime_power_count(ell, e, J, w % ell**e)
-    if q == 1:
-        formula = 1
-    if q % 2 == 1:
-        parity = 1
-    else:
-        parity = 2 if (J - w) % 2 == 0 else 0
+    parity = 1 if q % 2 else (0 if (J - w) % 2 else 2)
     predicted = parity * fm.phi**J / q
-    if brute:
+    if fm.phi**J <= BRUTE_GUARD:
         v_sum, v_alt = (int(c) for c in _additive_brute_all(q, J)[:, w % q])
         if v_sum != formula:
             raise ConsistencyError(

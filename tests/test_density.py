@@ -76,7 +76,7 @@ class TestAlpha:
     def test_degenerate_prime(self):
         prof = alpha(IntPoly((-1, 1)), 2)
         assert prof.alpha == 0
-        assert prof.zero_primes == (2,)
+        assert [ld.ell for ld in prof.locals if ld.alpha_local == 0] == [2]
 
     def test_quad_15(self):
         prof = alpha(IntPoly((1, 0, 1)), 15)

@@ -31,7 +31,6 @@ from wudlab.lab import (
     run_distribution,
     run_distribution_multi,
     run_scenario,
-    growth_fit,
 )
 from wudlab.sieve import (
     DEFAULT_SEGMENT,
@@ -154,23 +153,17 @@ class TestDistribution:
 
 
 class TestGrowthFit:
+    """N_coprime against growth_pred = x / (log x)^(1 - alpha) over a ladder:
+    the log ratio absorbs a bounded factor, so it is checked for a bounded
+    window, never pointwise."""
+
     def test_rows_and_window(self):
-        rep = growth_fit(_phi_spec(), 5, [10**4, 10**5])
-        assert [r.x for r in rep.rows] == [10**4, 10**5]
-        for row in rep.rows:
-            assert row.pred == pytest.approx(
-                row.x / math.log(row.x) ** (1 - 3 / 4))
-            assert row.log_ratio == pytest.approx(
-                math.log(row.n_coprime / row.pred))
-        assert rep.log_ratio_window < 2.0
-
-    def test_no_checkpoints_rejected(self):
-        with pytest.raises(InvalidConfigError, match="no x checkpoints"):
-            growth_fit(_phi_spec(), 5, [])
-
-    def test_alpha_zero_declined(self):
-        with pytest.raises(InvalidConfigError, match="degenerate"):
-            growth_fit(_phi_spec(), 2, [10**4])
+        reps = run_distribution_multi(_phi_spec(), 5, [10**4, 10**5])
+        assert [r.x for r in reps] == [10**4, 10**5]
+        for rep in reps:
+            assert rep.growth_pred == pytest.approx(rep.x / math.log(rep.x) ** (1 - 3 / 4))
+        log_ratios = [math.log(r.n_coprime / r.growth_pred) for r in reps]
+        assert max(log_ratios) - min(log_ratios) < 2.0
 
 
 class TestAdditiveRun:
@@ -475,12 +468,10 @@ class TestExport:
 
     def test_json_roundtrip(self, tmp_path):
         reps = [run_distribution(_phi_spec(), 5, 1000, J=1),
-                run_scenario("additive", q=4, x=1000),
-                growth_fit(_phi_spec(), 5, [10**4])]
+                run_scenario("additive", q=4, x=1000)]
         path = export_report(reps, "json", tmp_path / "out.json")
         loaded = json.loads(path.read_text())
-        assert [r["type"] for r in loaded] == ["distribution", "scenario",
-                                               "growth"]
+        assert [r["type"] for r in loaded] == ["distribution", "scenario"]
         assert all(r["schema_version"] == 1 for r in loaded)
         dist = loaded[0]
         assert sum(dist["class_counts"].values()) == dist["n_coprime"]
@@ -488,6 +479,7 @@ class TestExport:
     def test_bad_format(self, tmp_path):
         with pytest.raises(InvalidConfigError):
             export_report([], "xml", tmp_path / "out.xml")
+        assert not (tmp_path / "out.xml").exists()
 
 
 class TestCli:
@@ -587,6 +579,40 @@ class TestCli:
         assert main(["tuples", "--poly", "phi", "--q", "19683", "--J", "6"]) == 3
         assert "1049760 bits exceeds guard 1048576" in capsys.readouterr().err
 
+    def test_tuples_additive_above_brute_guard(self, capsys):
+        # phi(35)^6 = 24^6 > BRUTE_GUARD: the exact formula answers alone
+        assert main(["tuples", "--poly", "phi", "--q", "35", "--J", "6", "--additive",
+                     "--w", "1"]) == 0
+        row, = json.loads(capsys.readouterr().out)
+        assert row["v_sum"] == row["v_alt"] == row["formula"] > 0
+
+    def test_counterexample_i_large_D_finishes(self, capsys):
+        # its admissibility constant has a composite cofactor past the trial limit
+        with _deadline(30):
+            assert main(["scenario", "counterexample-i", "--D", "7", "--x", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["D"] == 7
+
+    def test_density_unbalanced_q_exit_3(self, capsys):
+        # q = 1000003 * (10^15 + 37) is factored, then refused by the root scan
+        with _deadline(30):
+            assert main(["density", "--poly", "phi", "--q", "1000003000000037000111"]) == 3
+        assert "root scan guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_config_file_and_scenario_stdout_agree(self, tmp_path, capsys, fmt):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[restricted-a]\nq = 35\nx = 3000\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "--format", fmt]) == 0
+        capsys.readouterr()
+        assert main(["--format", fmt, "scenario", "restricted-a", "--q", "35",
+                     "--x", "3000"]) == 0
+        stdout = capsys.readouterr().out
+        written = (tmp_path / f"wudlab-report.{fmt}").read_bytes().decode()
+        if fmt == "json":
+            assert json.loads(written) == [json.loads(stdout)]
+        else:
+            assert written == stdout
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.ini")]) == 2
 
@@ -615,7 +641,7 @@ class TestCli:
             writer.writerows(rows)
         dump = tmp_path / "records.csv"
         args = ["sieve", "--poly", "phi", "--q", str(q), "--x", str(x), "--J", "1"]
-        assert main([*args, "--segment-size", "777", "--dump", str(dump)]) == 0
+        assert main([*args, "--dump", str(dump)]) == 0
         assert dump.read_bytes() == expected.read_bytes()
         capsys.readouterr()
         assert main(args) == 0
@@ -711,10 +737,6 @@ class TestCli:
                      "--x", "100", "--J", "1"]) == 0
 
     @pytest.mark.parametrize("argv", [
-        ["sieve", "--poly", "phi", "--q", "5", "--x", "1000", "--J", "1",
-         "--segment-size", "0"],
-        ["sieve", "--poly", "phi", "--q", "5", "--x", "1000", "--J", "1",
-         "--segment-size", "-4"],
         ["sieve", "--poly", "phi", "--q", "5", "--x", "0", "--J", "1"],
         ["scenario", "additive", "--q", "4", "--x", "0"],
         ["scenario", "additive", "--q", "4", "--x", "-5"],

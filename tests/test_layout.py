@@ -62,3 +62,31 @@ def test_no_unread_imports(path):
     unread = [f"line {line}: {name}" for name, line in sorted(imported.items())
               if name not in read]
     assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+
+def _dest(call: ast.Call) -> str:
+    """The attribute an ``add_argument`` call stores into, as argparse names it."""
+    for kw in call.keywords:
+        if kw.arg == "dest":
+            return kw.value.value
+    names = [a.value for a in call.args if isinstance(a, ast.Constant)]
+    name = next((n for n in names if n.startswith("--")), names[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+def test_every_cli_flag_is_read():
+    # a flag that is accepted and then ignored changes nothing but the user's belief
+    tree = ast.parse((SRC / "cli.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    dests = {_dest(node) for node in ast.walk(funcs["_build_parser"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"}
+    scenario_flags = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_SCENARIO_FLAGS" for t in node.targets))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    unread = dests - read - scenario_flags
+    assert len(dests) > 20 and not unread, f"flags accepted and never read: {sorted(unread)}"

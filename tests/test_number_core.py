@@ -59,12 +59,24 @@ class TestFactor:
             assert factor(n).factors == tuple(sorted(want.items())), n
 
     @pytest.mark.parametrize("p, r", [(1000003, 1000033), (1000003, 1000003),
-                                      (1000037, 1000039), (999983, 1000003)])
+                                      (1000037, 1000039), (999983, 1000003),
+                                      (1000003, 10**15 + 37)])
     def test_semiprimes_past_trial_limit(self, p, r):
         # a cofactor left when the loop hits the trial limit needs Miller-Rabin
         want = ((p, 2),) if p == r else ((p, 1), (r, 1))
         assert factor(p * r).factors == want
         assert factor(6 * p * r).factors == ((2, 1), (3, 1), *want)
+
+    @pytest.mark.parametrize("want", [
+        ((1000003, 1), (1000033, 1), (1000037, 1)),
+        ((1000003, 2), (1000033, 1)),
+        ((1000003, 3),),
+        ((3, 1), (1000037, 2), (10**9 + 7, 1)),
+    ])
+    def test_unbalanced_cofactors_past_trial_limit(self, want):
+        # more than two primes, or a repeated one, left after trial division
+        n = math.prod(ell**e for ell, e in want)
+        assert factor(n).factors == want
 
     def test_cofactor_past_sqrt_is_prime_without_miller_rabin(self, monkeypatch):
         # the loop stopped at p * p > m, so the cofactor m is prime

@@ -81,7 +81,7 @@ class TestVPrime:
         assert rep.brute == 36
 
     def test_brute_skipped_above_guard(self, phi_poly):
-        rep = count_v_prime(phi_poly, 5, 30, brute_guard=100)
+        rep = count_v_prime(phi_poly, 5, 30)
         assert rep.brute is None
         assert rep.formula == 3**30
 
@@ -470,9 +470,21 @@ class TestAdditiveTuples:
 
     def test_all_targets_partition(self):
         for q, J in [(9, 3), (12, 2), (15, 2)]:
-            total = sum(additive_tuple_counts(q, J, w, brute=False).formula
+            total = sum(additive_tuple_counts(q, J, w).formula
                         for w in range(q))
             assert total == factor(q).phi**J
+
+    @pytest.mark.parametrize("q, J, guard", [
+        (35, 6, BRUTE_GUARD),  # 24^6 > BRUTE_GUARD: the formula alone
+        (11, 2, 100), (11, 3, 100), (12, 6, 64), (12, 7, 64), (1, 5, 1),
+    ])
+    def test_brute_table_built_exactly_at_or_below_guard(self, monkeypatch, q, J, guard):
+        monkeypatch.setattr(tuples, "BRUTE_GUARD", guard)
+        _additive_brute_all.cache_clear()
+        reps = [additive_tuple_counts(q, J, w) for w in range(q)]
+        assert _additive_brute_all.cache_info().misses == (factor(q).phi ** J <= guard)
+        assert all(r.v_sum == r.v_alt == r.formula for r in reps)
+        assert sum(r.formula for r in reps) == factor(q).phi ** J
 
     def test_bad_inputs(self):
         with pytest.raises(InvalidConfigError):
