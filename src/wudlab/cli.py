@@ -1,8 +1,8 @@
 """The ``wudlab`` command line.
 
 Subcommands: density, sieve, chars, tuples, dist, scenario. Exit codes:
-0 success, 2 invalid config, 3 guard exceeded, 4 internal consistency
-failure.
+0 success (also when the reader closes stdout early, as ``| head`` does),
+2 invalid config, 3 guard exceeded, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ import configparser
 import csv
 import itertools
 import math
+import os
 import sys
 from pathlib import Path
 
 from wudlab.density import alpha, xi_max_roots
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
-from wudlab.lab import FILTERS, SCENARIOS, export_report, run_distribution, run_scenario, \
-    write_records
+from wudlab.lab import FILTERS, SCENARIOS, export_report, run_distribution_multi, \
+    run_scenario, write_records
 from wudlab.poly import parse_poly
 from wudlab.sieve import RULES, ConvenientParams, MultiplicativeSpec, sieve_range
 from wudlab.characters import build_character_table, curve_point_count, z_chi
@@ -76,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     di = sub.add_parser("dist", help="full distribution run")
     di.add_argument("--poly", required=True)
     di.add_argument("--rule", default="euler-like", choices=CLI_RULES)
-    di.add_argument("--q", type=int, required=True)
-    di.add_argument("--x", type=int, required=True)
+    di.add_argument("--q", type=int, nargs="+", required=True)
+    di.add_argument("--x", type=int, nargs="+", required=True, help="one x or a ladder")
     di.add_argument("--delta", type=float, default=1.0)
     di.add_argument("--J", type=int, default=None)
     di.add_argument("--filter", default="none", choices=FILTERS)
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scenario", help="named experiment scenarios")
     sc.add_argument("name", choices=SCENARIOS)
     # no defaults: the scenario holds them, and rejects a flag it does not take
-    sc.add_argument("--x", type=int, default=argparse.SUPPRESS)
+    sc.add_argument("--x", type=int, nargs="+", default=argparse.SUPPRESS)
     sc.add_argument("--q", type=int, default=argparse.SUPPRESS)
     sc.add_argument("--q1", type=int, default=argparse.SUPPRESS)
     sc.add_argument("--D", type=int, default=argparse.SUPPRESS)
@@ -98,8 +99,14 @@ def _emit(obj, args) -> None:
     write_records(obj, args.format, sys.stdout)
 
 
-def _emit_report(rep, args) -> None:
-    _emit(rep.to_json_dict() if args.format == "json" else rep.rows(), args)
+def _emit_reports(reports: list, args) -> None:
+    """One report as its JSON object, several as a list of them; in CSV,
+    all their rows under one header."""
+    if args.format == "csv":
+        _emit([row for rep in reports for row in rep.rows()], args)
+    else:
+        objs = [rep.to_json_dict() for rep in reports]
+        _emit(objs if len(objs) > 1 else objs[0], args)
 
 
 def _cmd_density(args) -> None:
@@ -208,9 +215,12 @@ def _cmd_tuples(args) -> None:
 
 
 def _cmd_dist(args) -> None:
+    """One census per q over the whole x ladder; the reports in q, then x order."""
     spec = MultiplicativeSpec(F=parse_poly(args.poly), rule=args.rule)
-    _emit_report(run_distribution(spec, args.q, args.x, delta=args.delta, J=args.J,
-                                  filter_name=args.filter), args)
+    _emit_reports([rep for q in sorted(set(args.q))
+                   for rep in run_distribution_multi(spec, q, args.x, delta=args.delta,
+                                                     J=args.J, filter_names=[args.filter])],
+                  args)
 
 
 # configparser lowercases option names, so the key D arrives as d
@@ -255,7 +265,7 @@ def _run_config(path: Path, args) -> None:
 
 def _cmd_scenario(args) -> None:
     params = {key: val for key, val in vars(args).items() if key in _SCENARIO_FLAGS}
-    _emit_report(run_scenario(args.name, **params), args)
+    _emit_reports([run_scenario(args.name, **params)], args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -279,6 +289,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             parser.print_help()
             return EXIT_CONFIG
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader has every line it wanted; the rest goes to devnull, so
+        # the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

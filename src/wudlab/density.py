@@ -82,7 +82,6 @@ class DensityProfile:
     q: FactoredModulus
     alpha: Fraction
     locals: tuple[LocalDensity, ...]
-    lower_bound_ref: float  # (log log 3q)^(-D), unscaled comparator
 
 
 @lru_cache(maxsize=1 << 14)
@@ -102,8 +101,7 @@ def alpha(F: IntPoly, q: FactoredModulus | int) -> DensityProfile:
     locs = tuple(_local_density(F, ell, e) for ell, e in q.factors)
     a = Fraction(math.prod(ld.ell - 1 - ld.nu for ld in locs),
                  math.prod(ld.ell - 1 for ld in locs))
-    lb = (math.log(math.log(3 * q.q))) ** (-F.degree) if q.q >= 1 else 1.0
-    return DensityProfile(q=q, alpha=a, locals=locs, lower_bound_ref=lb)
+    return DensityProfile(q=q, alpha=a, locals=locs)
 
 
 def alpha_direct_count(F: IntPoly, q: int) -> Fraction:

@@ -2,8 +2,10 @@
 counterexample and restricted-input scenarios, the additive-function runs,
 and the one CSV/JSON writer of every report and command output.
 
-One sieve pass can serve several x checkpoints and several filters; all
-counts are exact and deterministic for a fixed configuration.
+One sieve pass serves a ladder of x checkpoints and several filters: a
+distribution scenario, and wudlab dist for each q, counts its whole ladder
+in one census (the additive scenario runs one per x). All counts are exact
+and deterministic for a fixed configuration.
 
 A census (run_distribution_multi, run_additive) cuts [1, x] into contiguous
 shares with equal numbers of n: one per CPU in the affinity mask, but at
@@ -307,7 +309,8 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
                            delta: float = 1.0, J: int | None = None,
                            filter_names: Sequence[str] = ("none",),
                            scenario: str = "dist") -> list[DistributionReport]:
-    """One sieve pass shared across increasing x checkpoints and filters."""
+    """One sieve pass shared across increasing x checkpoints and filters; the
+    convenient split of every checkpoint takes the cutoffs of the largest x."""
     xs = sorted(set(int(x) for x in xs))
     filter_names = tuple(filter_names)  # read by _k_slots and each share
     if not xs or xs[0] < 1:
@@ -415,12 +418,16 @@ def run_scenario(name: str, **params) -> ScenarioReport:
     """Named experiment scenarios; see SCENARIOS for the roster.
 
     counterexample-i:  F = (T-2)(T-4)...(T-2D) + 2, completely multiplicative,
-                       squarefree q from the first admissible primes; the
-                       class of 2 should come out overrepresented.
+                       q the product of the first two admissible primes
+                       above D + 1; the class of 2 should come out
+                       overrepresented.
     counterexample-ii: f(p) = (p-1)^D + 1, q = q1^D; class 1 overrepresented.
     restricted-a/b:    distribution under the P_{D+2} > q or P_2 > q filter
                        compared against the unfiltered run.
     additive:          A(n), A*(n) class counts against x/q.
+
+    x is one checkpoint or a list of them; the reports cover every
+    checkpoint, and the summary is taken at the largest.
     """
     if name == "counterexample-i":
         return _scenario_counterexample_i(**params)
@@ -433,64 +440,55 @@ def run_scenario(name: str, **params) -> ScenarioReport:
     raise InvalidConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
 
 
-def overrepresentation(report: DistributionReport, target: int) -> dict:
-    """How the class of target compares with the other unit classes of report."""
-    ratios = {a: c * len(report.class_counts) / report.n_coprime
-              for a, c in report.class_counts.items()} if report.n_coprime else {}
-    t = target % report.q
-    others = [r for a, r in ratios.items() if a != t]
-    return {
-        "target_class": t,
-        "target_ratio": ratios.get(t),
-        "max_other_ratio": max(others) if others else None,
-        "target_is_strict_max": bool(others) and ratios.get(t, 0) > max(others),
-    }
+def _ladder(x: int | Sequence[int]) -> list[int]:
+    """A scenario's x checkpoints, from one x or a list of them, sorted."""
+    xs = sorted({int(v) for v in np.atleast_1d(x)})
+    if not xs:
+        raise InvalidConfigError("no x checkpoints given")
+    return xs
 
 
-def counterexample_i(D: int = 2, num_primes: int = 2) -> tuple[MultiplicativeSpec, int, int]:
-    """(spec, q, target) of construction i: F = (T-2)(T-4)...(T-2D) + 2,
-    completely multiplicative, q the product of the first num_primes
-    admissible primes above D + 1, and target = 2 its overrepresented class."""
-    F = parse_poly(f"counterexample-i D={int(D)}").require_separable()
-    primes, _ = admissible_primes(F, 1000)
-    primes = [p for p in primes if p > int(D) + 1][: int(num_primes)]
-    return MultiplicativeSpec(F=F, rule="completely-multiplicative"), math.prod(primes), 2
-
-
-def counterexample_ii(D: int = 2, q1: int = 5) -> tuple[MultiplicativeSpec, int, int]:
-    """(spec, q, target) of construction ii: f(p) = (p-1)^D + 1, completely
-    multiplicative, q = q1^D, and target = 1 its overrepresented class."""
-    F = parse_poly(f"counterexample-ii D={int(D)}").require_separable()
-    return MultiplicativeSpec(F=F, rule="completely-multiplicative"), int(q1) ** int(D), 1
-
-
-def _scenario_counterexample_i(D: int = 2, x: int = 10**6, num_primes: int = 2,
-                               **extra) -> ScenarioReport:
+def _scenario_counterexample_i(D: int = 2, x: int = 10**6, **extra) -> ScenarioReport:
     _reject_extra(extra)
-    spec, q, target = counterexample_i(D, num_primes)
-    rep = run_distribution(spec, q, int(x), scenario="counterexample-i")
-    return ScenarioReport(name="counterexample-i", reports=(rep,),
-                          summary={"q": q, "D": D, **overrepresentation(rep, target)})
+    F = parse_poly(f"counterexample-i D={int(D)}").require_separable()
+    primes = [p for p in admissible_primes(F, 1000)[0] if p > int(D) + 1][:2]
+    return _scenario_counterexample("counterexample-i", F, math.prod(primes), 2, D, x)
 
 
 def _scenario_counterexample_ii(D: int = 2, q1: int = 5, x: int = 10**6,
                                 **extra) -> ScenarioReport:
     _reject_extra(extra)
-    spec, q, target = counterexample_ii(D, q1)
-    rep = run_distribution(spec, q, int(x), scenario="counterexample-ii")
-    return ScenarioReport(name="counterexample-ii", reports=(rep,),
-                          summary={"q": q, "D": D, **overrepresentation(rep, target)})
+    F = parse_poly(f"counterexample-ii D={int(D)}").require_separable()
+    return _scenario_counterexample("counterexample-ii", F, int(q1) ** int(D), 1, D, x)
+
+
+def _scenario_counterexample(name: str, F: IntPoly, q: int, target: int, D: int,
+                             x: int | Sequence[int]) -> ScenarioReport:
+    """The census of f completely multiplicative with f(p) = F(p) over the
+    ladder x, and how the class of target compares at the largest x with
+    the other unit classes."""
+    spec = MultiplicativeSpec(F=F, rule="completely-multiplicative")
+    reports = run_distribution_multi(spec, q, _ladder(x), scenario=name)
+    rep, target = reports[-1], target % q
+    ratios = {a: c * len(rep.class_counts) / rep.n_coprime
+              for a, c in rep.class_counts.items()} if rep.n_coprime else {}
+    others = [r for a, r in ratios.items() if a != target]
+    return ScenarioReport(name=name, reports=tuple(reports), summary={
+        "q": q, "D": D, "target_class": target, "target_ratio": ratios.get(target),
+        "max_other_ratio": max(others) if others else None,
+        "target_is_strict_max": bool(others) and ratios.get(target, 0) > max(others),
+    })
 
 
 def _scenario_restricted(name: str, poly: str = "phi", rule: str = "euler-like",
-                         q: int = 35, x: int = 10**6, **extra) -> ScenarioReport:
+                         q: int = 35, x: int | Sequence[int] = 10**6,
+                         **extra) -> ScenarioReport:
     _reject_extra(extra)
     spec = MultiplicativeSpec(F=parse_poly(poly), rule=rule)
     filt = "pD2-rough" if name == "restricted-a" else "p2-rough"
-    reports = run_distribution_multi(spec, int(q), [int(x)],
+    reports = run_distribution_multi(spec, int(q), _ladder(x),
                                      filter_names=["none", filt], scenario=name)
-    unfiltered = next(r for r in reports if r.filter == "none")
-    filtered = next(r for r in reports if r.filter == filt)
+    unfiltered, filtered = reports[-2:]  # the largest x
     return ScenarioReport(name=name, reports=tuple(reports), summary={
         "filter": filt,
         "discrepancy_unfiltered": unfiltered.discrepancy,
@@ -499,12 +497,13 @@ def _scenario_restricted(name: str, poly: str = "phi", rule: str = "euler-like",
     })
 
 
-def _scenario_additive(q: int = 4, x: int = 10**6, **extra) -> ScenarioReport:
+def _scenario_additive(q: int = 4, x: int | Sequence[int] = 10**6,
+                       **extra) -> ScenarioReport:
     _reject_extra(extra)
-    rep = run_additive(int(q), int(x))
-    return ScenarioReport(name="additive", reports=(rep,), summary={
-        "max_rel_dev_a": rep.max_rel_dev_a,
-        "max_rel_dev_astar": rep.max_rel_dev_astar,
+    reports = tuple(run_additive(int(q), v) for v in _ladder(x))
+    return ScenarioReport(name="additive", reports=reports, summary={
+        "max_rel_dev_a": reports[-1].max_rel_dev_a,
+        "max_rel_dev_astar": reports[-1].max_rel_dev_astar,
     })
 
 

@@ -84,20 +84,13 @@ def _discriminant(c: list[int]) -> int:
 
 @dataclass(frozen=True)
 class IntPoly:
-    """F(T) with integer coefficients, constant term first.
-
-    `denominator` > 1 marks an integer-valued polynomial G(T)/Q; admissible
-    primes are then additionally required to exceed Q.
-    """
+    """F(T) with integer coefficients, constant term first."""
 
     coeffs: tuple[int, ...]
-    denominator: int = 1
 
     def __post_init__(self):
         if not self.coeffs or self.coeffs[-1] == 0:
             raise InvalidConfigError("coefficient list must be nonempty with nonzero lead")
-        if self.denominator < 1:
-            raise InvalidConfigError("denominator must be >= 1")
 
     @property
     def degree(self) -> int:
@@ -191,7 +184,7 @@ def theoretical_admissibility_constant(F: IntPoly) -> int:
     """
     D = F.degree
     bad = 2
-    for n in (abs(F.leading), abs(F.delta), F.denominator):
+    for n in (abs(F.leading), abs(F.delta)):
         if n > 1:
             from wudlab.number_core import factor
 
@@ -200,13 +193,8 @@ def theoretical_admissibility_constant(F: IntPoly) -> int:
 
 
 def is_admissible_prime(F: IntPoly, ell: int) -> bool:
-    """Structural admissibility: odd, not dividing lc(F), delta, or Q."""
-    return (
-        ell != 2
-        and F.leading % ell != 0
-        and F.delta % ell != 0
-        and (F.denominator == 1 or ell > F.denominator)
-    )
+    """Structural admissibility: odd, not dividing lc(F) or delta."""
+    return ell != 2 and F.leading % ell != 0 and F.delta % ell != 0
 
 
 def admissible_primes(F: IntPoly, bound: int) -> tuple[list[int], int]:

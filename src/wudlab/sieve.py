@@ -127,13 +127,11 @@ def f_mod(spec: MultiplicativeSpec, n: int, q: int) -> tuple[int, bool]:
 
 @dataclass(frozen=True)
 class ConvenientParams:
-    """x, delta and the derived cutoffs J, y, z of the convenient split."""
+    """x and the derived cutoffs J, y of the convenient split."""
 
     x: float
-    delta: float
     J: int
     y: float
-    z: float
 
     @classmethod
     def from_x(cls, x: float, delta: float = 1.0,
@@ -158,9 +156,7 @@ class ConvenientParams:
             J = j_natural
         if J < 1:
             raise InvalidConfigError("J must be >= 1")
-        y = math.exp(logx ** (delta / 2))
-        z = x ** (1.0 / math.log(logx)) if logx > 1 else x
-        return cls(x=x, delta=delta, J=J, y=y, z=z)
+        return cls(x=x, J=J, y=math.exp(logx ** (delta / 2)))
 
 
 @dataclass(frozen=True)

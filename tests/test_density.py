@@ -115,11 +115,6 @@ class TestAlpha:
             for ld in prof.locals:
                 assert ld.nu_lifted == len(brute_unit_roots(F, ld.ell**ld.e)), (F, q, ld)
 
-    def test_lower_bound_ref_shape(self):
-        prof = alpha(IntPoly((1, 0, 1)), 35)
-        assert prof.lower_bound_ref == pytest.approx(
-            math.log(math.log(105)) ** -2)
-
 
 class TestXi:
     def test_quad_mod_5(self):

@@ -3,14 +3,18 @@
 import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,7 +45,7 @@ from wudlab.sieve import (
     MultiplicativeSpec,
     f_mod,
 )
-from wudlab.poly import IntPoly
+from wudlab.poly import IntPoly, parse_poly
 
 
 def _phi_spec():
@@ -397,7 +401,7 @@ class TestCensusOracle:
         # P_1(2) = 2 > y = 1.5 makes n = 2 convenient and m = 1 not, so the
         # flags of an odd m no longer carry over to 2^e m
         spec, q, x = _phi_spec(), 5, 3000
-        params = ConvenientParams(x=x, delta=1.0, J=1, y=1.5, z=2.0)
+        params = ConvenientParams(x=x, J=1, y=1.5)
         ((counts,),), ((n_con,),) = lab._census(spec, q, 1, x, [x], 2, params,
                                                 ("convenient-only",))
         want = Counter(f_mod(spec, n, q)[0] for n in range(1, x + 1)
@@ -436,7 +440,7 @@ class TestScenarios:
         assert rep.summary["target_ratio"] > 1
 
     def test_counterexample_i_small(self):
-        rep = run_scenario("counterexample-i", D=2, x=10**5, num_primes=2)
+        rep = run_scenario("counterexample-i", D=2, x=10**5)
         assert rep.summary["target_class"] == 2
         assert rep.summary["q"] > 1
 
@@ -746,3 +750,73 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be >= 1" in captured.err
+
+    def test_closed_stdout_exits_quietly(self):
+        # three reports of 996 rows, more than the 64 KiB a pipe holds, so the
+        # writer meets the closed end of the pipe
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wudlab.cli", "--format", "csv", "dist", "--poly", "phi",
+             "--q", "997", "--x", "1000", "2000", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        try:
+            assert proc.stdout.readline().startswith(b"scenario,")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            err = proc.stderr.read()
+        finally:
+            proc.kill()  # a no-op once it has exited
+            proc.stderr.close()
+        assert b"Traceback" not in err and b"Exception" not in err, err
+
+
+def _stdout(capsys, argv: list[str]) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestCliLadder:
+    """A list of q and a ladder of x give what their single runs give."""
+
+    DIST = ["dist", "--poly", "phi"]
+    LADDER = ["--q", "5", "7", "--x", "10000", "1000", "10000"]
+    SINGLES = [["--q", q, "--x", x] for q in ("5", "7") for x in ("1000", "10000")]
+
+    def test_dist_json_lists_the_reports_by_q_then_x(self, capsys):
+        got = json.loads(_stdout(capsys, [*self.DIST, *self.LADDER]))
+        want = [json.loads(_stdout(capsys, [*self.DIST, *argv])) for argv in self.SINGLES]
+        assert [got[1], got[3]] == [want[1], want[3]]  # x = 10000, the top of the ladder
+        # below the top, one census splits convenient n by the top x's cutoff
+        # y, so only n_con and n_inc may differ there
+        split = ("n_con", "n_inc")
+        assert [{k: v for k, v in r.items() if k not in split} for r in got] == \
+            [{k: v for k, v in r.items() if k not in split} for r in want]
+
+    def test_dist_csv_is_the_single_runs_under_one_header(self, capsys):
+        fmt = ["--format", "csv"]
+        got = _stdout(capsys, [*fmt, *self.DIST, *self.LADDER]).splitlines()
+        singles = [_stdout(capsys, [*fmt, *self.DIST, *argv]).splitlines()
+                   for argv in self.SINGLES]
+        assert got == singles[0][:1] + [row for lines in singles for row in lines[1:]]
+
+    @pytest.mark.parametrize("name, census", [
+        ("counterexample-ii", lambda xs: run_distribution_multi(
+            MultiplicativeSpec(F=parse_poly("counterexample-ii D=2"),
+                               rule="completely-multiplicative"),
+            25, xs, scenario="counterexample-ii")),
+        ("restricted-a", lambda xs: run_distribution_multi(
+            _phi_spec(), 35, xs, filter_names=["none", "pD2-rough"], scenario="restricted-a")),
+        ("additive", lambda xs: [run_additive(4, x) for x in xs]),
+    ], ids=["counterexample-ii", "restricted-a", "additive"])
+    def test_scenario_ladder(self, capsys, name, census):
+        # the reports of one census over the ladder, the summary of its largest x
+        reports = census([1000, 10000])
+        got = json.loads(_stdout(capsys, ["scenario", name, "--x", "1000", "10000"]))
+        alone = json.loads(_stdout(capsys, ["scenario", name, "--x", "10000"]))
+        assert got["reports"] == json.loads(json.dumps([r.to_json_dict() for r in reports]))
+        assert got["summary"] == alone["summary"]
+        rows = io.StringIO()
+        lab.write_records([row for r in reports for row in r.rows()], "csv", rows)
+        assert _stdout(capsys, ["--format", "csv", "scenario", name,
+                                "--x", "10000", "1000"]) == rows.getvalue()

@@ -7,9 +7,13 @@ module, test or script imports a name it never reads.
 """
 
 import ast
+import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from wudlab.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wudlab"
@@ -90,3 +94,19 @@ def test_every_cli_flag_is_read():
             and node.value.id == "args"}
     unread = dests - read - scenario_flags
     assert len(dests) > 20 and not unread, f"flags accepted and never read: {sorted(unread)}"
+
+
+def test_readme_commands_parse():
+    # a documented command that no longer parses fails every reader who copies it
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("wudlab ")]
+    scripts = [line.split()[1] for line in lines if line.startswith("python scripts/")]
+    parser, unparsed = _build_parser(), []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            unparsed.append(argv)
+    assert commands and not unparsed, f"README commands that do not parse: {unparsed}"
+    assert scripts and all((ROOT / s).is_file() for s in scripts), scripts

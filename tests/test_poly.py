@@ -14,7 +14,6 @@ from wudlab.poly import (
     admissible_primes,
     is_admissible_prime,
     parse_poly,
-    theoretical_admissibility_constant,
 )
 
 T = sympy.Symbol("T")
@@ -170,12 +169,6 @@ class TestAdmissible:
     def test_two_never_admissible(self, poly_panel):
         for F in poly_panel:
             assert not is_admissible_prime(F, 2)
-
-    def test_denominator_gate(self):
-        # an integer-valued G/Q polynomial also requires ell > Q
-        F = IntPoly((0, 1, 1), denominator=2)  # T(T+1)/2
-        assert not is_admissible_prime(F, 2)
-        assert theoretical_admissibility_constant(F) >= 2
 
 
 class TestParse:

@@ -110,7 +110,7 @@ class TestFactorizationRecord:
         assert [rec.P(k) for k in range(1, 7)] == [11, 7, 3, 2, 2, 1]
 
     def test_convenient_example(self):
-        params = ConvenientParams(x=10**6, delta=1.0, J=2, y=5.0, z=10.0)
+        params = ConvenientParams(x=10**6, J=2, y=5.0)
         assert FactorizationRecord.of(924).is_convenient(params)  # 11 > 7 > 5
         assert not FactorizationRecord.of(49).is_convenient(params)  # 7 = 7
 
@@ -336,7 +336,7 @@ class TestKernelProperty:
 class TestRecordStream:
     def test_records(self, phi_poly):
         spec = MultiplicativeSpec(F=phi_poly)
-        params = ConvenientParams(x=1000.0, delta=1.0, J=1, y=10.0, z=5.0)
+        params = ConvenientParams(x=1000.0, J=1, y=10.0)
         recs = {r["n"]: r for r in sieve_range(spec, 1, 1000, 5, params)}
         assert len(recs) == 1000
         r924 = recs[924]
@@ -347,7 +347,7 @@ class TestRecordStream:
 
     def test_record_guard(self, phi_poly):
         spec = MultiplicativeSpec(F=phi_poly)
-        params = ConvenientParams(x=1e7, delta=1.0, J=1, y=10.0, z=5.0)
+        params = ConvenientParams(x=1e7, J=1, y=10.0)
         with pytest.raises(GuardExceededError):
             next(sieve_range(spec, 1, 2 * 10**6, 5, params))
 
