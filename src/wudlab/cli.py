@@ -21,7 +21,8 @@ from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigErr
 from wudlab.lab import FILTERS, SCENARIOS, export_report, run_distribution_multi, \
     run_scenario, write_records
 from wudlab.poly import parse_poly
-from wudlab.sieve import RULES, ConvenientParams, MultiplicativeSpec, sieve_range
+from wudlab.sieve import RULES, ConvenientParams, MultiplicativeSpec, check_modulus, \
+    sieve_range
 from wudlab.characters import build_character_table, curve_point_count, z_chi
 from wudlab.tuples import count_v_double, hypothesis_a_ratio, \
     additive_tuple_counts
@@ -53,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--delta", type=float, default=1.0)
-    s.add_argument("--J", type=int, default=None)
+    # J = 1 as in dist: no x that RECORD_GUARD lets through has a natural J >= 1
+    s.add_argument("--J", type=int, default=1)
     s.add_argument("--dump", type=Path, help="CSV of per-n records")
 
     c = sub.add_parser("chars", help="character sums Z_chi mod ell^e")
@@ -215,9 +217,13 @@ def _cmd_tuples(args) -> None:
 
 
 def _cmd_dist(args) -> None:
-    """One census per q over the whole x ladder; the reports in q, then x order."""
+    """One census per q over the whole x ladder; the reports in q, then x order.
+    Every q passes the modulus guard before the first census."""
     spec = MultiplicativeSpec(F=parse_poly(args.poly), rule=args.rule)
-    _emit_reports([rep for q in sorted(set(args.q))
+    qs = sorted(set(args.q))
+    for q in qs:
+        check_modulus(q)
+    _emit_reports([rep for q in qs
                    for rep in run_distribution_multi(spec, q, args.x, delta=args.delta,
                                                      J=args.J, filter_names=[args.filter])],
                   args)

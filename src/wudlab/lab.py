@@ -2,10 +2,9 @@
 counterexample and restricted-input scenarios, the additive-function runs,
 and the one CSV/JSON writer of every report and command output.
 
-One sieve pass serves a ladder of x checkpoints and several filters: a
-distribution scenario, and wudlab dist for each q, counts its whole ladder
-in one census (the additive scenario runs one per x). All counts are exact
-and deterministic for a fixed configuration.
+One sieve pass serves a ladder of x checkpoints and several filters: every
+scenario, and wudlab dist for each q, counts its whole ladder in one census.
+All counts are exact and deterministic for a fixed configuration.
 
 A census (run_distribution_multi, run_additive) cuts [1, x] into contiguous
 shares with equal numbers of n: one per CPU in the affinity mask, but at
@@ -33,6 +32,14 @@ checkpoint and filter and the matching n_con, each checkpoint's row counting
 the n above the checkpoint before it. The parent adds the shares into share
 0's arrays and takes the running sum over the checkpoints in place, so the
 report at xs[j] reads row j.
+
+The additive census (run_additive) sieves the odd m of its share too, for
+every q, and counts each n = 2^e m <= x from m's A and A*: A(2^e m) =
+A(m) + 2e, and since A* takes the prime factors largest first, the e twos
+come last, so A*(2^e m) = A*(m) + 2 (-1)^Omega(m) for e odd and A*(m) for e
+even. Every prime factor of an odd m is odd, so A*(m) has the parity of
+Omega(m), and the kernel is not asked for Omega. Its rows are those of a
+distribution census, for A and for A* mod q.
 """
 
 from __future__ import annotations
@@ -241,6 +248,26 @@ def _add_classes(counts: np.ndarray, classes: np.ndarray, c: int, spread: dict) 
     counts += hist
 
 
+def _prefix_bounds(seg: SegmentData, scale: int, xs: Sequence[int]) -> list[int]:
+    """For each checkpoint xs[j], how many leading m of seg have scale m <= xs[j]:
+    n = scale (seg.lo + step i) <= xs[j] exactly for the i below it, so the
+    checkpoints below scale seg.lo get none."""
+    size = (seg.hi - seg.lo) // seg.step
+    return [min(max((end // scale - seg.lo) // seg.step + 1, 0), size) for end in xs]
+
+
+def _sum_shares(shares: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Share 0's arrays with every other share's added, then summed over the
+    checkpoints in place: row j of each then counts every n <= xs[j]."""
+    first, *rest = shares
+    for share in rest:
+        for total, part in zip(first, share):
+            total += part
+    for total in first:
+        np.cumsum(total, axis=0, out=total)
+    return first
+
+
 def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int],
             k_slots: int, params: ConvenientParams,
             filter_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -273,10 +300,7 @@ def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int
             kept.append((seg.fmod, con, None) if mask is None else
                         (seg.fmod[mask], con & mask, mask))
         for scale, c in scales:
-            # n = scale (seg.lo + step i) <= xs[j] exactly for the i below bounds[j],
-            # so the rows of the checkpoints below lo stay empty
-            bounds = [min(max((end // scale - seg.lo) // step + 1, 0), len(seg.fmod))
-                      for end in xs]
+            bounds = _prefix_bounds(seg, scale, xs)
             if not bounds[-1]:
                 break
             for j, (a, b) in enumerate(zip([0, *bounds], bounds)):
@@ -321,16 +345,9 @@ def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], 
     check_modulus(q)
     profile = alpha(spec.F, q)
     k_slots = _k_slots(spec, params, filter_names)
-    (counts, n_con), *rest = _fan_out(
+    counts, n_con = _sum_shares(_fan_out(
         lambda lo, hi: _census(spec, q, lo, hi, xs, k_slots, params, filter_names),
-        q, xs[-1])
-    for share_counts, share_n_con in rest:
-        counts += share_counts
-        n_con += share_n_con
-    del rest  # the reports are built without the other shares' arrays
-    for j in range(1, len(xs)):  # counts[j] becomes the count of every n <= xs[j]
-        counts[j] += counts[j - 1]
-        n_con[j] += n_con[j - 1]
+        q, xs[-1]))
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
     keys = units.tolist()  # one list, so every report's dict shares its ints
     return [_report(spec, scenario, x, q, f, keys, counts[j, i, units], int(n_con[j, i]),
@@ -368,29 +385,79 @@ class AdditiveReport:
         }
 
 
-def _additive_census(q: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Class counts of A(n) and A*(n) mod q over lo <= n <= hi."""
+def _add_rolled(row: np.ndarray, hist: np.ndarray, k: int) -> None:
+    """row[(a + k) mod q] += hist[a] for every class a, q = len(row)."""
+    k %= len(row)
+    row[k:] += hist[:len(row) - k]
+    row[:k] += hist[len(row) - k:]
+
+
+def _additive_census(q: int, lo: int, hi: int,
+                     xs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Class counts of A(n) and A*(n) mod q over the n = 2^e m <= xs[-1] with m
+    odd in [lo, hi], as the int64 arrays counts_a[j, class] and
+    counts_s[j, class], where row j counts the n in (xs[j - 1], xs[j]]."""
     spec = MultiplicativeSpec(F=IntPoly((-1, 1)))  # never evaluated: f is not asked for
-    counts_a = np.zeros(q, dtype=np.int64)
-    counts_s = np.zeros(q, dtype=np.int64)
-    for seg in iter_segments(spec, lo, hi, q, k_slots=0, fields=("A", "Astar")):
-        # x - x // q * q is x % q for either sign; numpy's scalar // is the cheap one
-        counts_a += np.bincount(seg.A - seg.A // q * q, minlength=q)
-        counts_s += np.bincount(seg.Astar - seg.Astar // q * q, minlength=q)
-    return counts_a, counts_s
+    lo |= 1  # the first odd m >= lo
+    counts_a = np.zeros((len(xs), q), dtype=np.int64)
+    counts_s = np.zeros((len(xs), 2 * q), dtype=np.int64)  # A*(n) mod 2q
+
+    def add(seg: SegmentData) -> None:
+        # A mod q and A* mod 2q in the segment's own arrays, as x - x // d * d: right
+        # for either sign, and numpy's // by a scalar is far cheaper than %. For m
+        # odd A*(m) has the parity of Omega(m), which A* mod 2q keeps
+        a, s = seg.A, seg.Astar
+        for field, d in ((a, q), (s, 2 * q)):
+            r = field // d
+            r *= d
+            field -= r
+        hists = {}  # (start, stop) -> the histograms of a and s: most e take the whole segment
+        for e in range((xs[-1] // seg.lo).bit_length()):  # the e with 2^e seg.lo <= x
+            bounds = _prefix_bounds(seg, 1 << e, xs)
+            for j, (start, stop) in enumerate(zip([0, *bounds], bounds)):
+                if start == stop:
+                    continue
+                if (start, stop) not in hists:
+                    hists[start, stop] = (np.bincount(a[start:stop], minlength=q),
+                                          np.bincount(s[start:stop], minlength=2 * q))
+                hist_a, hist_s = hists[start, stop]
+                # A(2^e m) = A(m) + 2e. For e odd A*(2^e m) = A*(m) + 2 (-1)^Omega(m):
+                # the even classes mod 2q move up by 2, the odd ones down by 2
+                _add_rolled(counts_a[j], hist_a, 2 * e)
+                _add_rolled(counts_s[j, 0::2], hist_s[0::2], e & 1)
+                _add_rolled(counts_s[j, 1::2], hist_s[1::2], -(e & 1))
+
+    for seg in iter_segments(spec, lo, hi, q, k_slots=0, fields=("A", "Astar"), step=2):
+        add(seg)
+        del seg  # the next segment is sieved without this one
+    return counts_a, counts_s[:, :q] + counts_s[:, q:]
 
 
 def run_additive(q: int, x: int, scenario: str = "additive") -> AdditiveReport:
     """Census of A(n) and A*(n) mod q; expected x/q in every class."""
-    shares = _fan_out(lambda lo, hi: _additive_census(q, lo, hi), q, x)
-    counts_a, counts_s = (sum(counts) for counts in zip(*shares))
-    exp = x / q
-    dev_a = float(np.max(np.abs(counts_a / exp - 1.0)))
-    dev_s = float(np.max(np.abs(counts_s / exp - 1.0)))
-    return AdditiveReport(scenario=scenario, x=x, q=q,
-                          counts_a=dict(enumerate(counts_a.tolist())),
-                          counts_astar=dict(enumerate(counts_s.tolist())),
-                          max_rel_dev_a=dev_a, max_rel_dev_astar=dev_s)
+    return run_additive_multi(q, [x], scenario=scenario)[0]
+
+
+def run_additive_multi(q: int, xs: int | Sequence[int],
+                       scenario: str = "additive") -> list[AdditiveReport]:
+    """One census of A(n) and A*(n) mod q shared across the x checkpoints
+    xs, one or a list."""
+    xs = _ladder(xs)
+    check_modulus(q)
+    if xs[0] < 1:
+        raise InvalidConfigError("x must be >= 1")
+    counts_a, counts_s = _sum_shares(_fan_out(
+        lambda lo, hi: _additive_census(q, lo, hi, xs), q, xs[-1]))
+    reports = []
+    for x, row_a, row_s in zip(xs, counts_a, counts_s):
+        exp = x / q
+        reports.append(AdditiveReport(
+            scenario=scenario, x=x, q=q,
+            counts_a=dict(enumerate(row_a.tolist())),
+            counts_astar=dict(enumerate(row_s.tolist())),
+            max_rel_dev_a=float(np.max(np.abs(row_a / exp - 1.0))),
+            max_rel_dev_astar=float(np.max(np.abs(row_s / exp - 1.0)))))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -441,7 +508,7 @@ def run_scenario(name: str, **params) -> ScenarioReport:
 
 
 def _ladder(x: int | Sequence[int]) -> list[int]:
-    """A scenario's x checkpoints, from one x or a list of them, sorted."""
+    """The x checkpoints, from one x or a list of them, sorted."""
     xs = sorted({int(v) for v in np.atleast_1d(x)})
     if not xs:
         raise InvalidConfigError("no x checkpoints given")
@@ -500,7 +567,7 @@ def _scenario_restricted(name: str, poly: str = "phi", rule: str = "euler-like",
 def _scenario_additive(q: int = 4, x: int | Sequence[int] = 10**6,
                        **extra) -> ScenarioReport:
     _reject_extra(extra)
-    reports = tuple(run_additive(int(q), v) for v in _ladder(x))
+    reports = tuple(run_additive_multi(int(q), x))
     return ScenarioReport(name="additive", reports=reports, summary={
         "max_rel_dev_a": reports[-1].max_rel_dev_a,
         "max_rel_dev_astar": reports[-1].max_rel_dev_astar,

@@ -20,7 +20,7 @@ from wudlab.errors import GuardExceededError, InvalidConfigError
 # Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_LIMIT = 10**6  # trial-divide with primes below this; rho splits a composite cofactor
+_TRIAL_LIMIT = 10**4  # trial-divide with primes below this; rho splits a composite cofactor
 
 SIEVE_GUARD = 10**8  # the largest n any sieve runs to: primes_upto and iter_segments
 

@@ -24,7 +24,9 @@ counted with multiplicity, above B.
 - One whole-array pass takes the rest: n / smooth and its quotient by the
   marked prime (both float-exact) give the two remaining factors, 1 meaning
   none. Each is pushed on the stack, added to Omega, A and A*, and its F mod q
-  gathered from a table; where both are the same p, p^2 | n takes f(p^2).
+  gathered from a table; where both are the same p, p^2 | n takes f(p^2),
+  gathered from a per-run table indexed by p that is filled in when a
+  segment first meets p^2.
 
 f(n) mod q is an int64 product of one residue per distinct prime of n, at most
 omega of them (p_1 ... p_omega <= hi). When (q - 1)^omega < 2^63 (q <= 512 at
@@ -274,7 +276,8 @@ def _icbrt(n: int) -> int:
 def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, size: int, step: int,
                    k_slots: int, fields: tuple[str, ...], primes: list[int],
                    shifts: list[int], tables: dict[int, list[int]],
-                   f_table: np.ndarray | None, coprime_lookup: np.ndarray | None,
+                   f_table: np.ndarray | None, f_square: np.ndarray | None,
+                   coprime_lookup: np.ndarray | None,
                    reduce_once: bool, scratch: tuple[np.ndarray, ...]) -> SegmentData:
     top = lo + step * (size - 1)  # the largest n of the segment
     n, smooth, mark, quot, small, spare, gather, has = (a[:size] for a in scratch)
@@ -367,7 +370,12 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, size: int, step: i
             np.take(f_table, index, out=gather, mode="clip")
             if square is None:  # p^2 | n: f(p^2) on the first factor, 1 on the second
                 square = np.flatnonzero(np.equal(x, large, out=has))
-                gather[square] = [values(p, 2)[2] for p in small[square].tolist()]
+                squared = small[square]
+                # the primes met for the first time, in n order: a missing
+                # custom-table entry raises at the first n that needs it
+                for p in dict.fromkeys(squared[f_square[squared] < 0].tolist()):
+                    f_square[p] = values(p, 2)[2]
+                gather[square] = f_square[squared]
             else:
                 gather[square] = 1
             fmod *= gather
@@ -417,11 +425,12 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
             pk *= p
         shifts.append(-pow(step, -1, pk) % pk)
     tables: dict[int, list[int]] = {}  # p -> f(p^e) mod q, grown on demand
-    f_table = coprime_lookup = None
+    f_table = f_square = coprime_lookup = None
     reduce_once = _reduce_once(q, hi)
     if "fmod" in fields:
         # index 0 for no factor, 1 + r for a factor = r mod q
         f_table = np.concatenate(([1 % q], spec.F.eval_mod(np.arange(q, dtype=np.int64), q)))
+        f_square = np.full(math.isqrt(hi) + 1, -1, dtype=np.int64)  # f(p^2) mod q; -1 unknown
         coprime_lookup = np.gcd(np.arange(q, dtype=np.int64), q) == 1
     size = min(segment_size, count)
     # the working arrays: n, then smooth, mark, quot, small, spare, gather and has
@@ -431,7 +440,7 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
     for first in range(0, count, segment_size):
         yield _sieve_segment(spec, q, lo + step * first, min(segment_size, count - first),
                              step, k_slots, fields, primes, shifts, tables, f_table,
-                             coprime_lookup, reduce_once, scratch)
+                             f_square, coprime_lookup, reduce_once, scratch)
         n += step * size
 
 

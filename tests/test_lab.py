@@ -32,6 +32,7 @@ from wudlab.lab import (
     DistributionReport,
     export_report,
     run_additive,
+    run_additive_multi,
     run_distribution,
     run_distribution_multi,
     run_scenario,
@@ -44,6 +45,7 @@ from wudlab.sieve import (
     FactorizationRecord,
     MultiplicativeSpec,
     f_mod,
+    iter_segments,
 )
 from wudlab.poly import IntPoly, parse_poly
 
@@ -196,6 +198,61 @@ class TestAdditiveRun:
     def test_x_below_one_rejected(self, x):
         with pytest.raises(InvalidConfigError, match="x must be >= 1"):
             run_additive(4, x)
+
+    @given(q=st.integers(1, 60), x=st.integers(1, 3000), n=st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_n_counts(self, q, x, n):
+        want = _additive_counts(q, x)
+        assert _additive_report_counts(run_additive(q, x)) == want
+        with _shares(n):
+            assert _additive_report_counts(run_additive(q, x)) == want
+        _no_child_left()
+
+    # n = 2^k has A(n) = 2k and A*(n) = 2 [k odd]: all of it from the scale of m = 1
+    @pytest.mark.parametrize("k", [1, 2, 5, 10, 11])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
+    def test_powers_of_two(self, q, k):
+        for x in (2**k - 1, 2**k, 2**k + 1):
+            assert _additive_report_counts(run_additive(q, x)) == _additive_counts(q, x)
+
+    def test_astar_parity_is_omega_parity_for_odd_m(self):
+        # the odd-m census reads the parity of Omega(m) off A*(m)
+        spec = _phi_spec()
+        for seg in iter_segments(spec, 1, 10**4, 5, k_slots=0, fields=("Omega", "Astar"),
+                                 step=2):
+            for m, omega, astar in zip(range(seg.lo, seg.hi, 2), seg.Omega.tolist(),
+                                       seg.Astar.tolist()):
+                rec = _record(m)
+                assert (omega, astar) == (rec.Omega, rec.additive_sums()[1])
+                assert astar % 2 == omega % 2
+
+    def test_census_sieves_odd_m_only(self):
+        with mock.patch.object(lab, "iter_segments", wraps=lab.iter_segments) as spy:
+            run_additive(4, 5000)
+        assert spy.call_count == 1
+        assert spy.call_args.kwargs["step"] == 2
+
+    def test_ladder_is_one_census(self):
+        with mock.patch.object(lab, "_fan_out", wraps=lab._fan_out) as spy:
+            reports = run_scenario("additive", q=4, x=[1000, 5000, 3000]).reports
+        assert spy.call_count == 1
+        assert list(reports) == [run_additive(4, x) for x in (1000, 3000, 5000)]
+
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(InvalidConfigError, match="no x checkpoints"):
+            run_additive_multi(4, [])
+
+
+def _additive_counts(q: int, x: int) -> tuple[dict, dict]:
+    """The classes of A(n) and A*(n) mod q over n <= x, from the per-n records."""
+    sums = [_record(n).additive_sums() for n in range(1, x + 1)]
+    return tuple(dict(sorted(Counter(v[i] % q for v in sums).items())) for i in (0, 1))
+
+
+def _additive_report_counts(rep) -> tuple[dict, dict]:
+    """A report's counts without its empty classes."""
+    return tuple({a: c for a, c in counts.items() if c}
+                 for counts in (rep.counts_a, rep.counts_astar))
 
 
 @contextlib.contextmanager
@@ -626,6 +683,20 @@ class TestCli:
                      "--J", "1", "--dump", str(dump)]) == 0
         lines = dump.read_text().splitlines()
         assert len(lines) == 501  # header + one row per n
+
+    def test_sieve_J_defaults_to_one(self, capsys):
+        # x <= RECORD_GUARD is below every x with a natural J >= 1
+        args = ["sieve", "--poly", "phi", "--q", "5", "--x", str(10**6)]
+        default = _stdout(capsys, args)
+        assert default == _stdout(capsys, [*args, "--J", "1"])
+        assert len(json.loads(default)) == 50
+
+    def test_dist_checks_every_q_before_a_census(self, capsys):
+        with mock.patch.object(lab, "_fan_out", side_effect=AssertionError("census ran")):
+            assert main(["dist", "--poly", "phi", "--q", "5", "1000000007",
+                         "--x", "3000000"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "modulus guard" in out.err
 
     def test_sieve_rows_match_reference(self, tmp_path, capsys):
         # the dump and the printed rows, against the per-n reference path
