@@ -40,10 +40,8 @@ def main() -> int:
             best = (0.0, 1.0)
             for t in range(1, table.phi):
                 rep = z_chi(F, table, t)
-                applicable = (rep.bound if rep.conductor == ell**e
-                              else rep.bound_conductor)
-                if rep.abs / applicable > best[0] / best[1]:
-                    best = (rep.abs, applicable)
+                if rep.abs / rep.bound > best[0] / best[1]:
+                    best = (rep.abs, rep.bound)
             sat = best[0] / best[1]
             worst = max(worst, sat)
             print(f"{ell}^{e:<6} {table.phi - 1:>6} {best[0]:>10.3f} "

@@ -110,10 +110,11 @@ class ZChiReport:
     value: complex
     abs: float
     d: int               # total degree entering the Weil/Cochrane bound
-    bound: float         # (d-1) * ell^(e(1-1/d)), valid when chi is primitive
+    bound: float         # the applicable bound: (d-1) ell^(e(1-1/d)) when chi is
+                         # primitive mod ell^e, else bound_conductor
     bound_conductor: float  # (d-1) ell^(e-e0/d), valid for any nonprincipal chi
     binding: bool        # a bound applies (ell admissible, chi nonprincipal)
-    within_bound: bool | None  # abs <= the applicable bound
+    within_bound: bool | None  # abs <= bound
 
 
 def _weil_d(F: IntPoly, ell: int) -> int:
@@ -134,14 +135,13 @@ def z_chi(F: IntPoly, table: CharacterTable, t: int) -> ZChiReport:
     z = complex(_roots_of_unity(phi)[ks].sum())
     e0 = table.conductor_exponent(t)
     d = _weil_d(F, table.ell)
-    bound = (d - 1) * table.ell ** (table.e * (1 - 1 / d))
     bound_cond = (d - 1) * table.ell ** (table.e - max(e0, 1) / d)
-    binding = is_admissible_prime(F, table.ell) and t % phi != 0
     # the primitive-case shape only binds when chi is primitive mod ell^e;
     # an imprimitive chi factors through its conductor and obeys the
     # conductor-reduced form instead
-    applicable = bound if e0 == table.e else bound_cond
-    within = abs(z) <= applicable + 1e-9 if binding else None
+    bound = (d - 1) * table.ell ** (table.e * (1 - 1 / d)) if e0 == table.e else bound_cond
+    binding = is_admissible_prime(F, table.ell) and t % phi != 0
+    within = abs(z) <= bound + 1e-9 if binding else None
     return ZChiReport(t=t % phi, conductor=table.ell**e0, value=z, abs=abs(z),
                       d=d, bound=bound, bound_conductor=bound_cond,
                       binding=binding, within_bound=within)

@@ -218,11 +218,11 @@ def _cmd_tuples(args) -> None:
 
 def _cmd_dist(args) -> None:
     """One census per q over the whole x ladder; the reports in q, then x order.
-    Every q passes the modulus guard before the first census."""
+    Every q passes the modulus and count guards before the first census."""
     spec = MultiplicativeSpec(F=parse_poly(args.poly), rule=args.rule)
     qs = sorted(set(args.q))
     for q in qs:
-        check_modulus(q)
+        check_modulus(q, len(set(args.x)) * q)
     _emit_reports([rep for q in qs
                    for rep in run_distribution_multi(spec, q, args.x, delta=args.delta,
                                                      J=args.J, filter_names=[args.filter])],

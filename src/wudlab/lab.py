@@ -178,14 +178,13 @@ def _run_child(census, lo: int, hi: int, w: int) -> None:
         os._exit(status)
 
 
-def _fan_out(census, q: int, x: int) -> list:
-    """census(lo, hi) for each share of [1, x], in share order; see the
-    module docstring. The guards run before the first fork."""
-    check_modulus(q)
+def _fan_out(census, q: int, x: int, cells: int) -> list:
+    """census(lo, hi) for each share of [1, x], in share order, each share's
+    count arrays holding cells int64; see the module docstring. The guards
+    run before the first fork."""
+    check_modulus(q, cells)
     if x > SIEVE_GUARD:
         raise GuardExceededError(f"sieve guard {SIEVE_GUARD} exceeded by hi={x}")
-    if x < 1:
-        raise InvalidConfigError("x must be >= 1")
     n_shares = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
             and threading.active_count() == 1:
@@ -329,25 +328,25 @@ def run_distribution(spec: MultiplicativeSpec, q: int, x: int, *,
                                   scenario=scenario)[0]
 
 
-def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: Sequence[int], *,
+def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: int | Sequence[int], *,
                            delta: float = 1.0, J: int | None = None,
                            filter_names: Sequence[str] = ("none",),
                            scenario: str = "dist") -> list[DistributionReport]:
-    """One sieve pass shared across increasing x checkpoints and filters; the
-    convenient split of every checkpoint takes the cutoffs of the largest x."""
-    xs = sorted(set(int(x) for x in xs))
+    """One sieve pass shared across the x checkpoints xs, one or a list, and
+    the filters; the convenient split of every checkpoint takes the cutoffs
+    of the largest x."""
+    xs = _ladder(xs)
     filter_names = tuple(filter_names)  # read by _k_slots and each share
-    if not xs or xs[0] < 1:
-        raise InvalidConfigError("x must be >= 1" if xs else "no x checkpoints given")
     params = ConvenientParams.from_x(xs[-1], delta=delta, J=J if J is not None else 1)
     if any(f not in FILTERS for f in filter_names):
         raise InvalidConfigError(f"filter must be one of {FILTERS}")
-    check_modulus(q)
+    cells = len(xs) * len(filter_names) * q
+    check_modulus(q, cells)
     profile = alpha(spec.F, q)
     k_slots = _k_slots(spec, params, filter_names)
     counts, n_con = _sum_shares(_fan_out(
         lambda lo, hi: _census(spec, q, lo, hi, xs, k_slots, params, filter_names),
-        q, xs[-1]))
+        q, xs[-1], cells))
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
     keys = units.tolist()  # one list, so every report's dict shares its ints
     return [_report(spec, scenario, x, q, f, keys, counts[j, i, units], int(n_con[j, i]),
@@ -433,26 +432,22 @@ def _additive_census(q: int, lo: int, hi: int,
     return counts_a, counts_s[:, :q] + counts_s[:, q:]
 
 
-def run_additive(q: int, x: int, scenario: str = "additive") -> AdditiveReport:
+def run_additive(q: int, x: int) -> AdditiveReport:
     """Census of A(n) and A*(n) mod q; expected x/q in every class."""
-    return run_additive_multi(q, [x], scenario=scenario)[0]
+    return run_additive_multi(q, [x])[0]
 
 
-def run_additive_multi(q: int, xs: int | Sequence[int],
-                       scenario: str = "additive") -> list[AdditiveReport]:
+def run_additive_multi(q: int, xs: int | Sequence[int]) -> list[AdditiveReport]:
     """One census of A(n) and A*(n) mod q shared across the x checkpoints
     xs, one or a list."""
     xs = _ladder(xs)
-    check_modulus(q)
-    if xs[0] < 1:
-        raise InvalidConfigError("x must be >= 1")
     counts_a, counts_s = _sum_shares(_fan_out(
-        lambda lo, hi: _additive_census(q, lo, hi, xs), q, xs[-1]))
+        lambda lo, hi: _additive_census(q, lo, hi, xs), q, xs[-1], 3 * q * len(xs)))
     reports = []
     for x, row_a, row_s in zip(xs, counts_a, counts_s):
         exp = x / q
         reports.append(AdditiveReport(
-            scenario=scenario, x=x, q=q,
+            scenario="additive", x=x, q=q,
             counts_a=dict(enumerate(row_a.tolist())),
             counts_astar=dict(enumerate(row_s.tolist())),
             max_rel_dev_a=float(np.max(np.abs(row_a / exp - 1.0))),
@@ -508,17 +503,17 @@ def run_scenario(name: str, **params) -> ScenarioReport:
 
 
 def _ladder(x: int | Sequence[int]) -> list[int]:
-    """The x checkpoints, from one x or a list of them, sorted."""
+    """The x checkpoints, from one x or a list of them, sorted; each is >= 1."""
     xs = sorted({int(v) for v in np.atleast_1d(x)})
-    if not xs:
-        raise InvalidConfigError("no x checkpoints given")
+    if not xs or xs[0] < 1:
+        raise InvalidConfigError("x must be >= 1" if xs else "no x checkpoints given")
     return xs
 
 
 def _scenario_counterexample_i(D: int = 2, x: int = 10**6, **extra) -> ScenarioReport:
     _reject_extra(extra)
     F = parse_poly(f"counterexample-i D={int(D)}").require_separable()
-    primes = [p for p in admissible_primes(F, 1000)[0] if p > int(D) + 1][:2]
+    primes = [p for p in admissible_primes(F, 1000) if p > int(D) + 1][:2]
     return _scenario_counterexample("counterexample-i", F, math.prod(primes), 2, D, x)
 
 
@@ -535,7 +530,7 @@ def _scenario_counterexample(name: str, F: IntPoly, q: int, target: int, D: int,
     ladder x, and how the class of target compares at the largest x with
     the other unit classes."""
     spec = MultiplicativeSpec(F=F, rule="completely-multiplicative")
-    reports = run_distribution_multi(spec, q, _ladder(x), scenario=name)
+    reports = run_distribution_multi(spec, q, x, scenario=name)
     rep, target = reports[-1], target % q
     ratios = {a: c * len(rep.class_counts) / rep.n_coprime
               for a, c in rep.class_counts.items()} if rep.n_coprime else {}
@@ -553,8 +548,8 @@ def _scenario_restricted(name: str, poly: str = "phi", rule: str = "euler-like",
     _reject_extra(extra)
     spec = MultiplicativeSpec(F=parse_poly(poly), rule=rule)
     filt = "pD2-rough" if name == "restricted-a" else "p2-rough"
-    reports = run_distribution_multi(spec, int(q), _ladder(x),
-                                     filter_names=["none", filt], scenario=name)
+    reports = run_distribution_multi(spec, int(q), x, filter_names=["none", filt],
+                                     scenario=name)
     unfiltered, filtered = reports[-2:]  # the largest x
     return ScenarioReport(name=name, reports=tuple(reports), summary={
         "filter": filt,

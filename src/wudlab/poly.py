@@ -176,32 +176,15 @@ class IntPoly:
         return " + ".join(reversed(terms)).replace("+ -", "- ") or "0"
 
 
-def theoretical_admissibility_constant(F: IntPoly) -> int:
-    """max(largest structurally bad prime, (4D)^(2D+2)).
-
-    The experiments use the structural condition directly; this constant is
-    reported so the gap to the worst-case analysis is visible.
-    """
-    D = F.degree
-    bad = 2
-    for n in (abs(F.leading), abs(F.delta)):
-        if n > 1:
-            from wudlab.number_core import factor
-
-            bad = max(bad, max(ell for ell, _ in factor(n).factors))
-    return max(bad, (4 * D) ** (2 * D + 2))
-
-
 def is_admissible_prime(F: IntPoly, ell: int) -> bool:
     """Structural admissibility: odd, not dividing lc(F) or delta."""
     return ell != 2 and F.leading % ell != 0 and F.delta % ell != 0
 
 
-def admissible_primes(F: IntPoly, bound: int) -> tuple[list[int], int]:
-    """All structurally admissible primes <= bound, plus the theoretical constant."""
+def admissible_primes(F: IntPoly, bound: int) -> list[int]:
+    """All structurally admissible primes <= bound."""
     F.require_separable()
-    ps = [int(p) for p in primes_upto(bound) if is_admissible_prime(F, int(p))]
-    return ps, theoretical_admissibility_constant(F)
+    return [int(p) for p in primes_upto(bound) if is_admissible_prime(F, int(p))]
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,11 @@ DEFAULT_SEGMENT = 1 << 15
 # every table of size q is guarded; q <= 10^6 also keeps q^2 < 2^63 for the
 # int64 products of residues
 MODULUS_GUARD = 10**6
+# cells of a census share's int64 count arrays, one per x checkpoint, filter and
+# class (24 MB); its reports take about 300 bytes a cell, so a run stays near
+# 1 GB. Every one-checkpoint census at q <= MODULUS_GUARD fits: A and A* count
+# 3q cells, the restricted scenarios 2q
+COUNT_GUARD = 3 * 10**6
 FIELDS = ("fmod", "Omega", "A", "Astar")  # what iter_segments computes on request
 
 RULES = (
@@ -220,7 +225,6 @@ class SegmentData:
 
     lo: int
     hi: int
-    q: int
     fmod: np.ndarray | None      # f(n) mod q; each field is None unless asked for
     coprime: np.ndarray | None   # gcd(f(n) mod q, q) == 1, comes with fmod
     Omega: np.ndarray | None
@@ -245,12 +249,16 @@ class SegmentData:
         return ok
 
 
-def check_modulus(q: int) -> None:
-    """Reject q before any table of size q is built (see MODULUS_GUARD)."""
+def check_modulus(q: int, cells: int = 0) -> None:
+    """Reject q before any table of size q is built (see MODULUS_GUARD), then
+    a census whose count arrays would hold cells > COUNT_GUARD int64."""
     if q < 1:
         raise InvalidConfigError("modulus must be >= 1")
     if q > MODULUS_GUARD:
         raise GuardExceededError(f"modulus guard {MODULUS_GUARD} exceeded by q={q}")
+    if cells > COUNT_GUARD:
+        raise GuardExceededError(f"count guard {COUNT_GUARD} exceeded by {cells} "
+                                 f"count cells at q={q}")
 
 
 def _reduce_once(q: int, hi: int) -> bool:
@@ -384,7 +392,7 @@ def _sieve_segment(spec: MultiplicativeSpec, q: int, lo: int, size: int, step: i
         gather *= q
         fmod -= gather
 
-    return SegmentData(lo=lo, hi=lo + step * size, q=q, fmod=fmod,
+    return SegmentData(lo=lo, hi=lo + step * size, fmod=fmod,
                        coprime=None if fmod is None else coprime_lookup[fmod],
                        Omega=omega, A=a_sum, Astar=astar, slots=slots, step=step)
 

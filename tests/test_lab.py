@@ -38,6 +38,7 @@ from wudlab.lab import (
     run_scenario,
 )
 from wudlab.sieve import (
+    COUNT_GUARD,
     DEFAULT_SEGMENT,
     RULES,
     SIEVE_GUARD,
@@ -614,6 +615,30 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--threads", "2", "scenario", "additive"])
 
+    @pytest.mark.parametrize("ell,e", [(3, 3), (5, 3)])
+    def test_chars_ok_is_judged_by_the_printed_bound(self, capsys, ell, e):
+        # an imprimitive chi is judged by the conductor form, which bound shows
+        rows = json.loads(_stdout(capsys, ["chars", "--poly", "phi", "--ell", str(ell),
+                                           "--e", str(e), "--all-chars"]))["characters"]
+        judged = [r for r in rows if r["ok"] is not None]
+        assert len(judged) == len(rows) - 1  # every nonprincipal chi
+        assert all(r["ok"] == (r["abs"] <= r["bound"] + 1e-9) for r in judged)
+
+    def test_count_guard_exit_3(self, capsys):
+        # 4 checkpoints of 999983 classes, and 2 of 3 * 999983 for A and A*,
+        # just past COUNT_GUARD: refused before alpha, any count array or a fork,
+        # and for dist before the census of the smaller q
+        xs = ["1000", "2000", "3000", "4000"]
+        with _fork_forbidden(), \
+                mock.patch.object(lab, "alpha", side_effect=AssertionError("alpha ran")), \
+                mock.patch.object(np, "zeros", side_effect=AssertionError("counts made")):
+            assert main(["dist", "--poly", "phi", "--q", "5", "999983", "--filter",
+                         "convenient-only", "--x", *xs]) == 3
+            assert main(["scenario", "additive", "--q", "999983", "--x", *xs[:2]]) == 3
+        assert capsys.readouterr().err.count(f"count guard {COUNT_GUARD}") == 2
+        assert 4 * 999983 > COUNT_GUARD >= 3 * 999983
+        assert 2 * 3 * 999983 > COUNT_GUARD >= 1 * 3 * 999983
+
     def test_modulus_guard_exit_3(self, capsys):
         # refused before any table of size q is built
         assert main(["dist", "--poly", "phi", "--q", "1000000007", "--x", "100"]) == 3
@@ -647,11 +672,13 @@ class TestCli:
         row, = json.loads(capsys.readouterr().out)
         assert row["v_sum"] == row["v_alt"] == row["formula"] > 0
 
-    def test_counterexample_i_large_D_finishes(self, capsys):
-        # its admissibility constant has a composite cofactor past the trial limit
+    @pytest.mark.parametrize("D", [7, 13])
+    def test_counterexample_i_large_D_finishes(self, capsys, D):
+        # the scenario needs only the admissible primes: a factoring of |delta|
+        # would not end within the deadline at D = 13
         with _deadline(30):
-            assert main(["scenario", "counterexample-i", "--D", "7", "--x", "1000"]) == 0
-        assert json.loads(capsys.readouterr().out)["summary"]["D"] == 7
+            assert main(["scenario", "counterexample-i", "--D", str(D), "--x", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["D"] == D
 
     def test_density_unbalanced_q_exit_3(self, capsys):
         # q = 1000003 * (10^15 + 37) is factored, then refused by the root scan

@@ -7,8 +7,11 @@ module, test or script imports a name it never reads.
 """
 
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +113,19 @@ def test_readme_commands_parse():
             unparsed.append(argv)
     assert commands and not unparsed, f"README commands that do not parse: {unparsed}"
     assert scripts and all((ROOT / s).is_file() for s in scripts), scripts
+
+
+@pytest.mark.parametrize("argv,header,last", [
+    (["character_bound_sweep.py", "--limit", "27"],
+     "   ell^e   #chi    max |Z|      bound saturation", "max saturation: 0.577"),
+    (["mixing_ratio_table.py", "--q", "5", "7", "--jmax", "4"],
+     "     q          J=2          J=4", "     7    2.000e-01    8.000e-03"),
+], ids=["character_bound_sweep", "mixing_ratio_table"])
+def test_scripts_run(argv, header, last):
+    # the scripts read library fields that no other test reaches through them
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert lines[1] == header and lines[-1] == last
