@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wudlab",
                                 description="weak-uniform-distribution lab")
     p.add_argument("--config", type=Path, help="INI config, one section per scenario")
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     sub = p.add_subparsers(dest="command")
 
@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--delta", type=float, default=1.0)
-    # J = 1 as in dist: no x that RECORD_GUARD lets through has a natural J >= 1
     s.add_argument("--J", type=int, default=1)
     s.add_argument("--dump", type=Path, help="CSV of per-n records")
 
@@ -62,8 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--poly", required=True)
     c.add_argument("--ell", type=int, required=True)
     c.add_argument("--e", type=int, default=1)
-    c.add_argument("--all-chars", action="store_true")
-    c.add_argument("--t", type=int, default=None, help="single character index")
+    which = c.add_mutually_exclusive_group()
+    which.add_argument("--all-chars", action="store_true")
+    which.add_argument("--t", type=int, default=None, help="single character index")
     c.add_argument("--curve", type=int, default=None,
                    help="also count points of F(x)F(y)=w for this unit w")
 
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     di.add_argument("--q", type=int, nargs="+", required=True)
     di.add_argument("--x", type=int, nargs="+", required=True, help="one x or a ladder")
     di.add_argument("--delta", type=float, default=1.0)
-    di.add_argument("--J", type=int, default=None)
+    di.add_argument("--J", type=int, default=1)
     di.add_argument("--filter", default="none", choices=FILTERS)
 
     sc = sub.add_parser("scenario", help="named experiment scenarios")
@@ -158,6 +158,8 @@ def _cmd_sieve(args) -> None:
 
 
 def _cmd_chars(args) -> None:
+    if args.curve is not None and args.format == "csv":
+        raise InvalidConfigError("--curve is reported in JSON only; drop --format csv")
     F = parse_poly(args.poly).require_separable()
     table = build_character_table(args.ell, args.e)
     ts = range(table.phi) if args.all_chars else [args.t if args.t is not None else 1]
@@ -191,7 +193,7 @@ def _cmd_tuples(args) -> None:
         _emit(rows, args)
         return
     F.require_separable()
-    method = {"char": "character", "cross-check": "auto"}.get(args.method, args.method)
+    method = {"char": "character"}.get(args.method, args.method)
     if args.method == "cross-check":
         ws = [w for w in range(1, q) if math.gcd(w, q) == 1] \
             if args.w == "all" else [int(args.w)]
@@ -263,8 +265,8 @@ def _run_config(path: Path, args) -> None:
                                          f"{kv[key]!r} is not an integer") from None
         reports.append(run_scenario(name, **{_PARAM_NAMES.get(key, key): val
                                              for key, val in kv.items()}))
-    out = args.out / f"wudlab-report.{args.format}"
-    args.out.mkdir(parents=True, exist_ok=True)
+    out = (args.out or Path(".")) / f"wudlab-report.{args.format}"
+    out.parent.mkdir(parents=True, exist_ok=True)
     export_report(reports, args.format, out)
     print(f"wrote {out}")
 
@@ -274,24 +276,22 @@ def _cmd_scenario(args) -> None:
     _emit_reports([run_scenario(args.name, **params)], args)
 
 
+_COMMANDS = {"density": _cmd_density, "sieve": _cmd_sieve, "chars": _cmd_chars,
+             "tuples": _cmd_tuples, "dist": _cmd_dist, "scenario": _cmd_scenario}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None and args.command is not None:
+            raise InvalidConfigError(f"--config takes no command, got {args.command}")
+        if args.out is not None and args.config is None:
+            raise InvalidConfigError("--out is read only with --config")
         if args.config is not None:
             _run_config(args.config, args)
-        elif args.command == "density":
-            _cmd_density(args)
-        elif args.command == "sieve":
-            _cmd_sieve(args)
-        elif args.command == "chars":
-            _cmd_chars(args)
-        elif args.command == "tuples":
-            _cmd_tuples(args)
-        elif args.command == "dist":
-            _cmd_dist(args)
-        elif args.command == "scenario":
-            _cmd_scenario(args)
+        elif args.command in _COMMANDS:
+            _COMMANDS[args.command](args)
         else:
             parser.print_help()
             return EXIT_CONFIG

@@ -45,6 +45,8 @@ distribution census, for A and for A* mod q.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import json
 import math
 import os
@@ -53,7 +55,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -154,14 +156,6 @@ def _report(spec: MultiplicativeSpec, scenario: str, x: int, q: int, filter_name
     )
 
 
-def _k_slots(spec: MultiplicativeSpec, params: ConvenientParams,
-             filter_names: Sequence[str]) -> int:
-    k = max(params.J + 1, 2)
-    if "pD2-rough" in filter_names:
-        k = max(k, spec.F.degree + 2)
-    return k
-
-
 def _run_child(census, lo: int, hi: int, w: int) -> None:
     """Send census(lo, hi), or the exception it raised, pickled down the pipe
     w, and exit: a forked child never returns into its caller's code."""
@@ -247,12 +241,19 @@ def _add_classes(counts: np.ndarray, classes: np.ndarray, c: int, spread: dict) 
     counts += hist
 
 
-def _prefix_bounds(seg: SegmentData, scale: int, xs: Sequence[int]) -> list[int]:
-    """For each checkpoint xs[j], how many leading m of seg have scale m <= xs[j]:
-    n = scale (seg.lo + step i) <= xs[j] exactly for the i below it, so the
-    checkpoints below scale seg.lo get none."""
+def _slices(seg: SegmentData, scales: Sequence[tuple[int, int]],
+            xs: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(j, a, b, move) for each (scale, move) of scales and each row j holding
+    some n = scale m: the m = seg.lo + step i, a <= i < b, give xs[j - 1] < n <= xs[j].
+    The walk ends at the first scale that reaches no m of seg; no larger one does."""
     size = (seg.hi - seg.lo) // seg.step
-    return [min(max((end // scale - seg.lo) // seg.step + 1, 0), size) for end in xs]
+    for scale, move in scales:
+        bounds = [min(max((end // scale - seg.lo) // seg.step + 1, 0), size) for end in xs]
+        if not bounds[-1]:
+            return
+        for j, (a, b) in enumerate(zip([0, *bounds], bounds)):
+            if a < b:
+                yield j, a, b, move
 
 
 def _sum_shares(shares: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
@@ -268,7 +269,7 @@ def _sum_shares(shares: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
 
 
 def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int],
-            k_slots: int, params: ConvenientParams,
+            params: ConvenientParams,
             filter_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The class counts and n_con of each filter over the n = 2^e m <= xs[-1]
     with m odd in [lo, hi] (every n in [lo, hi] when q = 1 or y < 2), as the
@@ -298,19 +299,15 @@ def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int
             mask = _filter_mask(f, spec, q, seg, convenient)
             kept.append((seg.fmod, con, None) if mask is None else
                         (seg.fmod[mask], con & mask, mask))
-        for scale, c in scales:
-            bounds = _prefix_bounds(seg, scale, xs)
-            if not bounds[-1]:
-                break
-            for j, (a, b) in enumerate(zip([0, *bounds], bounds)):
-                if a == b:
-                    continue
-                for f, (classes, flags, mask) in enumerate(kept):
-                    ia, ib = (a, b) if mask is None else (
-                        np.count_nonzero(mask[:a]), np.count_nonzero(mask[:b]))
-                    _add_classes(counts[j, f], classes[ia:ib], c, spread)
-                    n_con[j, f] += np.count_nonzero(flags[a:b])
+        for j, a, b, c in _slices(seg, scales, xs):
+            for f, (classes, flags, mask) in enumerate(kept):
+                ia, ib = (a, b) if mask is None else (
+                    np.count_nonzero(mask[:a]), np.count_nonzero(mask[:b]))
+                _add_classes(counts[j, f], classes[ia:ib], c, spread)
+                n_con[j, f] += np.count_nonzero(flags[a:b])
 
+    # the convenient flag reads J + 1 slots, the pD2-rough filter D + 2
+    k_slots = max(params.J + 1, spec.F.degree + 2 if "pD2-rough" in filter_names else 0)
     for seg in iter_segments(spec, lo, hi, q, k_slots=k_slots, fields=("fmod",),
                              step=step):
         add(seg)
@@ -318,35 +315,27 @@ def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int
     return counts, n_con
 
 
-def run_distribution(spec: MultiplicativeSpec, q: int, x: int, *,
-                     delta: float = 1.0, J: int | None = None,
-                     filter_name: str = "none",
-                     scenario: str = "dist") -> DistributionReport:
-    """One full sieve pass over [1, x] for a single modulus and filter."""
-    return run_distribution_multi(spec, q, [x], delta=delta, J=J,
-                                  filter_names=[filter_name],
-                                  scenario=scenario)[0]
+def run_distribution(spec: MultiplicativeSpec, q: int, x: int) -> DistributionReport:
+    """One full sieve pass over [1, x] for a single modulus, unfiltered."""
+    return run_distribution_multi(spec, q, [x])[0]
 
 
 def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: int | Sequence[int], *,
-                           delta: float = 1.0, J: int | None = None,
+                           delta: float = 1.0, J: int = 1,
                            filter_names: Sequence[str] = ("none",),
                            scenario: str = "dist") -> list[DistributionReport]:
     """One sieve pass shared across the x checkpoints xs, one or a list, and
     the filters; the convenient split of every checkpoint takes the cutoffs
     of the largest x."""
     xs = _ladder(xs)
-    filter_names = tuple(filter_names)  # read by _k_slots and each share
-    params = ConvenientParams.from_x(xs[-1], delta=delta, J=J if J is not None else 1)
+    filter_names = tuple(filter_names)  # read by each share
+    params = ConvenientParams.from_x(xs[-1], delta=delta, J=J)
     if any(f not in FILTERS for f in filter_names):
         raise InvalidConfigError(f"filter must be one of {FILTERS}")
-    cells = len(xs) * len(filter_names) * q
-    check_modulus(q, cells)
-    profile = alpha(spec.F, q)
-    k_slots = _k_slots(spec, params, filter_names)
     counts, n_con = _sum_shares(_fan_out(
-        lambda lo, hi: _census(spec, q, lo, hi, xs, k_slots, params, filter_names),
-        q, xs[-1], cells))
+        lambda lo, hi: _census(spec, q, lo, hi, xs, params, filter_names),
+        q, xs[-1], len(xs) * len(filter_names) * q))
+    profile = alpha(spec.F, q)  # past the guards of _fan_out, no guard of alpha can trip
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
     keys = units.tolist()  # one list, so every report's dict shares its ints
     return [_report(spec, scenario, x, q, f, keys, counts[j, i, units], int(n_con[j, i]),
@@ -400,6 +389,7 @@ def _additive_census(q: int, lo: int, hi: int,
     lo |= 1  # the first odd m >= lo
     counts_a = np.zeros((len(xs), q), dtype=np.int64)
     counts_s = np.zeros((len(xs), 2 * q), dtype=np.int64)  # A*(n) mod 2q
+    scales = [(1 << e, e) for e in range(xs[-1].bit_length())]  # (2^e, e)
 
     def add(seg: SegmentData) -> None:
         # A mod q and A* mod 2q in the segment's own arrays, as x - x // d * d: right
@@ -411,20 +401,16 @@ def _additive_census(q: int, lo: int, hi: int,
             r *= d
             field -= r
         hists = {}  # (start, stop) -> the histograms of a and s: most e take the whole segment
-        for e in range((xs[-1] // seg.lo).bit_length()):  # the e with 2^e seg.lo <= x
-            bounds = _prefix_bounds(seg, 1 << e, xs)
-            for j, (start, stop) in enumerate(zip([0, *bounds], bounds)):
-                if start == stop:
-                    continue
-                if (start, stop) not in hists:
-                    hists[start, stop] = (np.bincount(a[start:stop], minlength=q),
-                                          np.bincount(s[start:stop], minlength=2 * q))
-                hist_a, hist_s = hists[start, stop]
-                # A(2^e m) = A(m) + 2e. For e odd A*(2^e m) = A*(m) + 2 (-1)^Omega(m):
-                # the even classes mod 2q move up by 2, the odd ones down by 2
-                _add_rolled(counts_a[j], hist_a, 2 * e)
-                _add_rolled(counts_s[j, 0::2], hist_s[0::2], e & 1)
-                _add_rolled(counts_s[j, 1::2], hist_s[1::2], -(e & 1))
+        for j, start, stop, e in _slices(seg, scales, xs):
+            if (start, stop) not in hists:
+                hists[start, stop] = (np.bincount(a[start:stop], minlength=q),
+                                      np.bincount(s[start:stop], minlength=2 * q))
+            hist_a, hist_s = hists[start, stop]
+            # A(2^e m) = A(m) + 2e. For e odd A*(2^e m) = A*(m) + 2 (-1)^Omega(m):
+            # the even classes mod 2q move up by 2, the odd ones down by 2
+            _add_rolled(counts_a[j], hist_a, 2 * e)
+            _add_rolled(counts_s[j, 0::2], hist_s[0::2], e & 1)
+            _add_rolled(counts_s[j, 1::2], hist_s[1::2], -(e & 1))
 
     for seg in iter_segments(spec, lo, hi, q, k_slots=0, fields=("A", "Astar"), step=2):
         add(seg)
@@ -472,10 +458,6 @@ class ScenarioReport:
         }
 
 
-SCENARIOS = ("counterexample-i", "counterexample-ii", "restricted-a",
-             "restricted-b", "additive")
-
-
 def run_scenario(name: str, **params) -> ScenarioReport:
     """Named experiment scenarios; see SCENARIOS for the roster.
 
@@ -489,17 +471,16 @@ def run_scenario(name: str, **params) -> ScenarioReport:
     additive:          A(n), A*(n) class counts against x/q.
 
     x is one checkpoint or a list of them; the reports cover every
-    checkpoint, and the summary is taken at the largest.
+    checkpoint, and the summary is taken at the largest. A parameter the
+    scenario does not take is an error.
     """
-    if name == "counterexample-i":
-        return _scenario_counterexample_i(**params)
-    if name == "counterexample-ii":
-        return _scenario_counterexample_ii(**params)
-    if name in ("restricted-a", "restricted-b"):
-        return _scenario_restricted(name, **params)
-    if name == "additive":
-        return _scenario_additive(**params)
-    raise InvalidConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    if name not in SCENARIOS:
+        raise InvalidConfigError(f"unknown scenario {name!r}; choose from {tuple(SCENARIOS)}")
+    run = SCENARIOS[name]
+    unknown = set(params) - set(inspect.signature(run).parameters)
+    if unknown:
+        raise InvalidConfigError(f"unknown scenario parameters: {sorted(unknown)}")
+    return run(**params)
 
 
 def _ladder(x: int | Sequence[int]) -> list[int]:
@@ -510,16 +491,13 @@ def _ladder(x: int | Sequence[int]) -> list[int]:
     return xs
 
 
-def _scenario_counterexample_i(D: int = 2, x: int = 10**6, **extra) -> ScenarioReport:
-    _reject_extra(extra)
+def _scenario_counterexample_i(D: int = 2, x: int = 10**6) -> ScenarioReport:
     F = parse_poly(f"counterexample-i D={int(D)}").require_separable()
     primes = [p for p in admissible_primes(F, 1000) if p > int(D) + 1][:2]
     return _scenario_counterexample("counterexample-i", F, math.prod(primes), 2, D, x)
 
 
-def _scenario_counterexample_ii(D: int = 2, q1: int = 5, x: int = 10**6,
-                                **extra) -> ScenarioReport:
-    _reject_extra(extra)
+def _scenario_counterexample_ii(D: int = 2, q1: int = 5, x: int = 10**6) -> ScenarioReport:
     F = parse_poly(f"counterexample-ii D={int(D)}").require_separable()
     return _scenario_counterexample("counterexample-ii", F, int(q1) ** int(D), 1, D, x)
 
@@ -543,9 +521,7 @@ def _scenario_counterexample(name: str, F: IntPoly, q: int, target: int, D: int,
 
 
 def _scenario_restricted(name: str, poly: str = "phi", rule: str = "euler-like",
-                         q: int = 35, x: int | Sequence[int] = 10**6,
-                         **extra) -> ScenarioReport:
-    _reject_extra(extra)
+                         q: int = 35, x: int | Sequence[int] = 10**6) -> ScenarioReport:
     spec = MultiplicativeSpec(F=parse_poly(poly), rule=rule)
     filt = "pD2-rough" if name == "restricted-a" else "p2-rough"
     reports = run_distribution_multi(spec, int(q), x, filter_names=["none", filt],
@@ -559,9 +535,7 @@ def _scenario_restricted(name: str, poly: str = "phi", rule: str = "euler-like",
     })
 
 
-def _scenario_additive(q: int = 4, x: int | Sequence[int] = 10**6,
-                       **extra) -> ScenarioReport:
-    _reject_extra(extra)
+def _scenario_additive(q: int = 4, x: int | Sequence[int] = 10**6) -> ScenarioReport:
     reports = tuple(run_additive_multi(int(q), x))
     return ScenarioReport(name="additive", reports=reports, summary={
         "max_rel_dev_a": reports[-1].max_rel_dev_a,
@@ -569,9 +543,12 @@ def _scenario_additive(q: int = 4, x: int | Sequence[int] = 10**6,
     })
 
 
-def _reject_extra(extra: dict) -> None:
-    if extra:
-        raise InvalidConfigError(f"unknown scenario parameters: {sorted(extra)}")
+# name -> the scenario; its parameters are the ones run_scenario accepts
+SCENARIOS = {"counterexample-i": _scenario_counterexample_i,
+             "counterexample-ii": _scenario_counterexample_ii,
+             "restricted-a": functools.partial(_scenario_restricted, "restricted-a"),
+             "restricted-b": functools.partial(_scenario_restricted, "restricted-b"),
+             "additive": _scenario_additive}
 
 
 def write_records(obj, fmt: str, fh) -> None:

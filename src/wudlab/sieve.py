@@ -141,29 +141,17 @@ class ConvenientParams:
     y: float
 
     @classmethod
-    def from_x(cls, x: float, delta: float = 1.0,
-               J: int | None = None) -> "ConvenientParams":
-        """Derive J = floor(log log log x) and y = exp((log x)^(delta/2)).
-
-        An explicit J override is allowed (any slowly growing J works for
-        the heuristics; desk-scale x only ever reaches J = 1 naturally, and
-        x <= e^(e^e) has no valid J at all without an override).
-        """
+    def from_x(cls, x: float, delta: float = 1.0, J: int = 1) -> "ConvenientParams":
+        """The cutoffs J >= 1 and y = exp((log x)^(delta/2)) at x. J defaults to
+        1: the paper's J = floor(log log log x) is 1 for every x in (e^(e^e),
+        e^(e^(e^2))), about (3.8*10^6, 10^702), and does not exist below it."""
         if not 0 < delta <= 1:
             raise InvalidConfigError(f"delta must be in (0, 1], got {delta}")
         if x < 1:
             raise InvalidConfigError(f"x must be >= 1, got {x}")
-        logx = math.log(x)
-        j_natural = math.floor(math.log(math.log(logx))) if logx > math.e**math.e else 0
-        if J is None:
-            if j_natural < 1:
-                raise InvalidConfigError(
-                    f"x={x} is too small for J >= 1; pass an explicit J override"
-                )
-            J = j_natural
         if J < 1:
             raise InvalidConfigError("J must be >= 1")
-        return cls(x=x, J=J, y=math.exp(logx ** (delta / 2)))
+        return cls(x=x, J=J, y=math.exp(math.log(x) ** (delta / 2)))
 
 
 @dataclass(frozen=True)
@@ -458,8 +446,8 @@ def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
     [lo, hi]; for desk-scale record dumps."""
     if hi - lo + 1 > RECORD_GUARD:
         raise GuardExceededError(f"record streaming capped at {RECORD_GUARD} values")
-    k_slots = max(params.J + 1, 2)
-    for seg in iter_segments(spec, lo, hi, q, k_slots=k_slots, fields=("fmod", "Omega")):
+    for seg in iter_segments(spec, lo, hi, q, k_slots=params.J + 1,
+                             fields=("fmod", "Omega")):
         columns = (seg.fmod, seg.coprime, seg.Omega, seg.P(1), seg.P(2),
                    seg.convenient(params))
         for n, f, c, o, p1, p2, conv in zip(range(seg.lo, seg.hi),

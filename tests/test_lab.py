@@ -58,7 +58,7 @@ def _phi_spec():
 class TestDistribution:
     def test_matches_per_n_census(self):
         q, x = 5, 3000
-        rep = run_distribution(_phi_spec(), q, x, J=1)
+        rep = run_distribution(_phi_spec(), q, x)
         counts = Counter()
         for n in range(1, x + 1):
             val, cop = f_mod(_phi_spec(), n, q)
@@ -79,7 +79,7 @@ class TestDistribution:
         for q in (3, 5):
             counts = np.bincount(phi[1:] % q, minlength=q)
             expected = {a: int(counts[a]) for a in range(1, q)}
-            assert run_distribution(_phi_spec(), q, x, J=1).class_counts == expected
+            assert run_distribution(_phi_spec(), q, x).class_counts == expected
 
     def test_conservation(self):
         for rep in run_distribution_multi(_phi_spec(), 7, [100, 1000, 5000],
@@ -88,7 +88,7 @@ class TestDistribution:
             assert rep.n_con + rep.n_inc == rep.n_coprime
 
     def test_degenerate_range(self):
-        rep = run_distribution(_phi_spec(), 101, 50, J=1)
+        rep = run_distribution(_phi_spec(), 101, 50)
         assert rep.n_coprime <= 50  # emitted without error
 
     def test_filter_monotonicity(self):
@@ -102,8 +102,8 @@ class TestDistribution:
             assert p2.class_counts[a] >= pd2.class_counts[a]
 
     def test_determinism(self):
-        a = run_distribution(_phi_spec(), 5, 20000, J=1).to_json_dict()
-        b = run_distribution(_phi_spec(), 5, 20000, J=1).to_json_dict()
+        a = run_distribution(_phi_spec(), 5, 20000).to_json_dict()
+        b = run_distribution(_phi_spec(), 5, 20000).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_inconvenient_fraction_shrinks(self):
@@ -147,7 +147,7 @@ class TestDistribution:
 
     def test_bad_filter(self):
         with pytest.raises(InvalidConfigError):
-            run_distribution(_phi_spec(), 5, 100, J=1, filter_name="p99")
+            run_distribution_multi(_phi_spec(), 5, [100], filter_names=["p99"])
 
     def test_consistency_guard(self):
         with pytest.raises(ConsistencyError):
@@ -326,13 +326,13 @@ class TestFanOut:
             return pid
 
         with _shares(3), mock.patch.object(os, "fork", fork):
-            run_distribution(_phi_spec(), 5, 3000, J=1)
+            run_distribution(_phi_spec(), 5, 3000)
         assert len(children) == 2 and 0 not in children
         _no_child_left()
 
     def test_small_x_never_forks(self):
         with _shares(4, min_share=1000), _fork_forbidden():
-            run_distribution(_phi_spec(), 5, 1999, J=1)
+            run_distribution(_phi_spec(), 5, 1999)
             run_additive(4, 1999)
 
     # shares (0, 1000], (1000, 2000], (2000, 3000]: 37^2 = 1369 is first met
@@ -344,9 +344,9 @@ class TestFanOut:
         spec = MultiplicativeSpec(F=IntPoly((-1, 1)), rule="custom-table",
                                   custom_table=table)
         with pytest.raises(InvalidConfigError) as one:
-            run_distribution(spec, 5, 3000, J=1)
+            run_distribution(spec, 5, 3000)
         with _shares(3), _deadline(), pytest.raises(InvalidConfigError) as split:
-            run_distribution(spec, 5, 3000, J=1)
+            run_distribution(spec, 5, 3000)
         assert str(split.value) == str(one.value) == \
             f"custom table has no entry for prime power {min(missing)}"
         _no_child_left()
@@ -362,18 +362,18 @@ class TestFanOut:
         monkeypatch.setattr(lab, "_census", dies_in_child)
         with _shares(2), _deadline(), \
                 pytest.raises(ConsistencyError, match="share 1 .1501, 3000."):
-            run_distribution(_phi_spec(), 5, 3000, J=1)
+            run_distribution(_phi_spec(), 5, 3000)
         _no_child_left()
 
     def test_no_fork_while_another_thread_runs(self):
-        one = run_distribution(_phi_spec(), 5, 3000, J=1)
+        one = run_distribution(_phi_spec(), 5, 3000)
         one_additive = run_additive(4, 3000)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
             with _shares(3), _fork_forbidden():
-                assert run_distribution(_phi_spec(), 5, 3000, J=1) == one
+                assert run_distribution(_phi_spec(), 5, 3000) == one
                 assert run_additive(4, 3000) == one_additive
         finally:
             stop.set()
@@ -382,7 +382,7 @@ class TestFanOut:
     def test_guards_before_fork(self):
         with _shares(2), _fork_forbidden():
             with pytest.raises(GuardExceededError, match="sieve guard"):
-                run_distribution(_phi_spec(), 5, SIEVE_GUARD + 1, J=1)
+                run_distribution(_phi_spec(), 5, SIEVE_GUARD + 1)
             with pytest.raises(GuardExceededError, match="sieve guard"):
                 run_additive(4, SIEVE_GUARD + 1)
             with pytest.raises(GuardExceededError, match="modulus guard"):
@@ -460,7 +460,7 @@ class TestCensusOracle:
         # flags of an odd m no longer carry over to 2^e m
         spec, q, x = _phi_spec(), 5, 3000
         params = ConvenientParams(x=x, J=1, y=1.5)
-        ((counts,),), ((n_con,),) = lab._census(spec, q, 1, x, [x], 2, params,
+        ((counts,),), ((n_con,),) = lab._census(spec, q, 1, x, [x], params,
                                                 ("convenient-only",))
         want = Counter(f_mod(spec, n, q)[0] for n in range(1, x + 1)
                        if f_mod(spec, n, q)[1] and _record(n).is_convenient(params))
@@ -478,10 +478,10 @@ class TestCensusMemory:
     def test_peak_is_one_segment(self):
         spec, q, x = _phi_spec(), 5, 10**6
         params = ConvenientParams.from_x(x, J=1)
-        lab._census(spec, q, 1, 3000, [3000], 2, params, ("none",))  # build the caches
+        lab._census(spec, q, 1, 3000, [3000], params, ("none",))  # build the caches
         tracemalloc.start()
         try:
-            lab._census(spec, q, 1, x, [x], 2, params, ("none",))
+            lab._census(spec, q, 1, x, [x], params, ("none",))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -522,14 +522,14 @@ class TestScenarios:
 
 class TestExport:
     def test_csv_schema(self, tmp_path):
-        rep = run_distribution(_phi_spec(), 5, 1000, J=1)
+        rep = run_distribution(_phi_spec(), 5, 1000)
         path = export_report([rep], "csv", tmp_path / "out.csv")
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == list(CSV_COLUMNS)
         assert len(lines) == 1 + 4  # header + one row per unit class
 
     def test_json_roundtrip(self, tmp_path):
-        reps = [run_distribution(_phi_spec(), 5, 1000, J=1),
+        reps = [run_distribution(_phi_spec(), 5, 1000),
                 run_scenario("additive", q=4, x=1000)]
         path = export_report(reps, "json", tmp_path / "out.json")
         loaded = json.loads(path.read_text())
@@ -614,6 +614,31 @@ class TestCli:
         assert "threads" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["--threads", "2", "scenario", "additive"])
+
+    # a flag combination that would be accepted and then ignored exits 2,
+    # naming the flag, before any work
+    @pytest.mark.parametrize("argv, flag", [
+        (["--config", "run.ini", "--out", "d", "dist", "--poly", "phi", "--q", "5",
+          "--x", "100"], "--config"),
+        (["--out", "d", "dist", "--poly", "phi", "--q", "5", "--x", "100"], "--out"),
+        (["chars", "--poly", "phi", "--ell", "7", "--t", "2", "--all-chars"], "--all-chars"),
+        (["--format", "csv", "chars", "--poly", "phi", "--ell", "7", "--curve", "3"],
+         "--curve"),
+    ], ids=["config-and-command", "out-without-config", "t-and-all-chars", "csv-curve"])
+    def test_ignored_flag_combination_exit_2(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.ini").write_text("[additive]\nq = 4\nx = 1000\n")
+        work = {"side_effect": AssertionError("work started")}
+        with mock.patch("wudlab.cli.run_scenario", **work), \
+                mock.patch("wudlab.cli.run_distribution_multi", **work), \
+                mock.patch("wudlab.cli.z_chi", **work):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the pair itself
+                code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and flag in captured.err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("ell,e", [(3, 3), (5, 3)])
     def test_chars_ok_is_judged_by_the_printed_bound(self, capsys, ell, e):
@@ -711,12 +736,16 @@ class TestCli:
         lines = dump.read_text().splitlines()
         assert len(lines) == 501  # header + one row per n
 
-    def test_sieve_J_defaults_to_one(self, capsys):
-        # x <= RECORD_GUARD is below every x with a natural J >= 1
-        args = ["sieve", "--poly", "phi", "--q", "5", "--x", str(10**6)]
+    @pytest.mark.parametrize("command, x", [("sieve", 10**6), ("dist", 10**5)],
+                             ids=["sieve", "dist"])
+    def test_J_defaults_to_one(self, capsys, command, x):
+        # the paper's J is 1 from x = e^(e^e) ~ 3.8*10^6 on and undefined below
+        args = [command, "--poly", "phi", "--q", "5", "--x", str(x)]
         default = _stdout(capsys, args)
         assert default == _stdout(capsys, [*args, "--J", "1"])
-        assert len(json.loads(default)) == 50
+        assert default != _stdout(capsys, [*args, "--J", "2"])
+        if command == "sieve":
+            assert len(json.loads(default)) == 50
 
     def test_dist_checks_every_q_before_a_census(self, capsys):
         with mock.patch.object(lab, "_fan_out", side_effect=AssertionError("census ran")):

@@ -7,6 +7,7 @@ module, test or script imports a name it never reads.
 """
 
 import ast
+import inspect
 import os
 import re
 import shlex
@@ -16,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from wudlab import cli
 from wudlab.cli import _build_parser
+from wudlab.lab import SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wudlab"
@@ -97,6 +100,15 @@ def test_every_cli_flag_is_read():
             and node.value.id == "args"}
     unread = dests - read - scenario_flags
     assert len(dests) > 20 and not unread, f"flags accepted and never read: {sorted(unread)}"
+
+
+def test_scenario_flags_and_config_keys_are_the_scenario_parameters():
+    # a scenario parameter needs its flag and its INI key, and neither front
+    # end accepts a name that no scenario takes
+    params = {name for run in SCENARIOS.values() for name in inspect.signature(run).parameters}
+    assert cli._SCENARIO_FLAGS == params
+    ini_key = {param: key for key, param in cli._PARAM_NAMES.items()}
+    assert cli._CONFIG_KEYS == {"scenario"} | {ini_key.get(name, name) for name in params}
 
 
 def test_readme_commands_parse():

@@ -75,10 +75,9 @@ class TestRules:
 
 
 class TestConvenientParams:
-    def test_desk_scale_needs_override(self):
-        # floor(log log log 10^6) = 0, so no natural J exists
-        with pytest.raises(InvalidConfigError):
-            ConvenientParams.from_x(10**6)
+    def test_desk_scale_defaults_to_J_1(self):
+        # floor(log log log 10^6) = 0: the paper's J does not exist there
+        assert ConvenientParams.from_x(10**6).J == 1
 
     def test_override(self):
         params = ConvenientParams.from_x(10**6, J=1)
