@@ -21,7 +21,7 @@ from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigErr
 from wudlab.lab import FILTERS, SCENARIOS, export_report, run_distribution_multi, \
     run_scenario, write_records
 from wudlab.poly import parse_poly
-from wudlab.sieve import RULES, ConvenientParams, MultiplicativeSpec, check_modulus, \
+from wudlab.sieve import RULES, MultiplicativeSpec, check_modulus, convenient_cutoff, \
     sieve_range
 from wudlab.characters import build_character_table, curve_point_count, z_chi
 from wudlab.tuples import count_v_double, hypothesis_a_ratio, \
@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--delta", type=float, default=1.0)
-    s.add_argument("--J", type=int, default=1)
     s.add_argument("--dump", type=Path, help="CSV of per-n records")
 
     c = sub.add_parser("chars", help="character sums Z_chi mod ell^e")
@@ -82,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     di.add_argument("--q", type=int, nargs="+", required=True)
     di.add_argument("--x", type=int, nargs="+", required=True, help="one x or a ladder")
     di.add_argument("--delta", type=float, default=1.0)
-    di.add_argument("--J", type=int, default=1)
     di.add_argument("--filter", default="none", choices=FILTERS)
 
     sc = sub.add_parser("scenario", help="named experiment scenarios")
@@ -143,8 +141,7 @@ def _cmd_density(args) -> None:
 
 def _cmd_sieve(args) -> None:
     spec = MultiplicativeSpec(F=parse_poly(args.poly), rule=args.rule)
-    params = ConvenientParams.from_x(args.x, delta=args.delta, J=args.J)
-    rows = sieve_range(spec, 1, args.x, args.q, params)
+    rows = sieve_range(spec, 1, args.x, args.q, convenient_cutoff(args.x, delta=args.delta))
     if args.dump:
         first = next(rows)  # one row per n in [1, x], streamed to the file
         with open(args.dump, "w", newline="") as fh:
@@ -162,6 +159,8 @@ def _cmd_chars(args) -> None:
         raise InvalidConfigError("--curve is reported in JSON only; drop --format csv")
     F = parse_poly(args.poly).require_separable()
     table = build_character_table(args.ell, args.e)
+    if args.t is not None and not 0 <= args.t < table.phi:
+        raise InvalidConfigError(f"--t must be in [0, {table.phi}), got {args.t}")
     ts = range(table.phi) if args.all_chars else [args.t if args.t is not None else 1]
     rows = []
     for t in ts:
@@ -179,11 +178,25 @@ def _cmd_chars(args) -> None:
     _emit(out if args.format == "json" else rows, args)
 
 
+def _w_panel(w: str, q: int) -> list[int] | None:
+    """The one target --w names, or None for all of them."""
+    if w == "all":
+        return None
+    try:
+        target = int(w)
+    except ValueError:
+        target = -1
+    if not 0 <= target < q:
+        raise InvalidConfigError(f"--w must be 'all' or an integer in [0, {q}), got {w!r}")
+    return [target]
+
+
 def _cmd_tuples(args) -> None:
     F = parse_poly(args.poly)
     q = args.q
+    panel = _w_panel(args.w, q)
     if args.additive:
-        ws = range(q) if args.w == "all" else [int(args.w)]
+        ws = panel or range(q)
         rows = []
         for w in ws:
             rep = additive_tuple_counts(q, args.J, w)
@@ -195,8 +208,7 @@ def _cmd_tuples(args) -> None:
     F.require_separable()
     method = {"char": "character"}.get(args.method, args.method)
     if args.method == "cross-check":
-        ws = [w for w in range(1, q) if math.gcd(w, q) == 1] \
-            if args.w == "all" else [int(args.w)]
+        ws = panel or [w for w in range(1, q) if math.gcd(w, q) == 1]
         rows = []
         for w in ws:
             vb = count_v_double(F, q, args.J, w, method="brute")
@@ -211,8 +223,7 @@ def _cmd_tuples(args) -> None:
             rows.append(row)
         _emit(rows, args)
         return
-    rep = hypothesis_a_ratio(F, q, args.J, method=method,
-                             w_panel=None if args.w == "all" else [int(args.w)])
+    rep = hypothesis_a_ratio(F, q, args.J, method=method, w_panel=panel)
     rows = [{"w": r.w, "v_double": r.v_double, "ratio": r.ratio,
              "bound": rep.r_bound} for r in rep.rows]
     _emit(rows, args)
@@ -227,7 +238,7 @@ def _cmd_dist(args) -> None:
         check_modulus(q, len(set(args.x)) * q)
     _emit_reports([rep for q in qs
                    for rep in run_distribution_multi(spec, q, args.x, delta=args.delta,
-                                                     J=args.J, filter_names=[args.filter])],
+                                                     filter_names=[args.filter])],
                   args)
 
 

@@ -23,15 +23,15 @@ step 2). f is multiplicative, so each n = 2^e m <= x with m odd has f(n) =
 c_e f(m), c_e = f(2^e) mod q, and m's segment counts n into the checkpoint
 row that holds it; an e whose c_e is not a unit is skipped, since those n
 are never coprime and only unit classes are read. The flags of m serve
-2^e m: an appended factor 2 never passes P_k > q when q >= 2 nor P_J > y
-when y >= 2 (ConvenientParams.from_x gives y >= 2.3 for every x >= 2), and
-P_J(m) > y forces Omega(m) >= J, so the convenient flag and every filter of
-2^e m are those of m. For q = 1 or y < 2 a census sieves every n of its
-share. Each share returns two int64 arrays, the counts of every class per
-checkpoint and filter and the matching n_con, each checkpoint's row counting
-the n above the checkpoint before it. The parent adds the shares into share
-0's arrays and takes the running sum over the checkpoints in place, so the
-report at xs[j] reads row j.
+2^e m: an appended factor 2 never passes P_k > q when q >= 2 nor P_1 > y
+when y >= 2 (convenient_cutoff gives y >= 2.3 for every x >= 2), nor equals
+a P_1 > y, so the convenient flag and every filter of 2^e m are those of m.
+For q = 1 or y < 2 a census sieves every n of its share. Each share returns
+two int64 arrays, the counts of every class per checkpoint and filter and
+the matching n_con, each checkpoint's row counting the n above the
+checkpoint before it. The parent adds the shares into share 0's arrays
+and takes the running sum over the checkpoints in place, so the report at
+xs[j] reads row j.
 
 The additive census (run_additive) sieves the odd m of its share too, for
 every q, and counts each n = 2^e m <= x from m's A and A*: A(2^e m) =
@@ -64,10 +64,10 @@ from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigErr
 from wudlab.poly import IntPoly, admissible_primes, parse_poly
 from wudlab.sieve import (
     SIEVE_GUARD,
-    ConvenientParams,
     MultiplicativeSpec,
     SegmentData,
     check_modulus,
+    convenient_cutoff,
     iter_segments,
 )
 
@@ -269,14 +269,13 @@ def _sum_shares(shares: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
 
 
 def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int],
-            params: ConvenientParams,
-            filter_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+            y: float, filter_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The class counts and n_con of each filter over the n = 2^e m <= xs[-1]
     with m odd in [lo, hi] (every n in [lo, hi] when q = 1 or y < 2), as the
     int64 arrays counts[j, f, class] and n_con[j, f], where row j counts the
     n in (xs[j - 1], xs[j]]."""
     x = xs[-1]
-    step = 2 if q > 1 and params.y >= 2 else 1  # see the module docstring
+    step = 2 if q > 1 and y >= 2 else 1  # see the module docstring
     lo |= step - 1  # the first odd m >= lo when step = 2
     scales = []  # (2^e, f(2^e) mod q) for the e that make some n <= x, f(2^e) a unit
     for e in range(x.bit_length() if step == 2 else 1):
@@ -290,7 +289,7 @@ def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int
     spread: dict[int, np.ndarray] = {}
 
     def add(seg: SegmentData) -> None:
-        convenient = seg.convenient(params)
+        convenient = seg.convenient(y)
         # n is coprime exactly when f(n) mod q is a unit class, and _report reads
         # only unit classes: the class counts need no coprime mask
         con = seg.coprime & convenient
@@ -306,8 +305,8 @@ def _census(spec: MultiplicativeSpec, q: int, lo: int, hi: int, xs: Sequence[int
                 _add_classes(counts[j, f], classes[ia:ib], c, spread)
                 n_con[j, f] += np.count_nonzero(flags[a:b])
 
-    # the convenient flag reads J + 1 slots, the pD2-rough filter D + 2
-    k_slots = max(params.J + 1, spec.F.degree + 2 if "pD2-rough" in filter_names else 0)
+    # the convenient flag reads 2 slots, the pD2-rough filter D + 2
+    k_slots = spec.F.degree + 2 if "pD2-rough" in filter_names else 2
     for seg in iter_segments(spec, lo, hi, q, k_slots=k_slots, fields=("fmod",),
                              step=step):
         add(seg)
@@ -321,19 +320,18 @@ def run_distribution(spec: MultiplicativeSpec, q: int, x: int) -> DistributionRe
 
 
 def run_distribution_multi(spec: MultiplicativeSpec, q: int, xs: int | Sequence[int], *,
-                           delta: float = 1.0, J: int = 1,
-                           filter_names: Sequence[str] = ("none",),
+                           delta: float = 1.0, filter_names: Sequence[str] = ("none",),
                            scenario: str = "dist") -> list[DistributionReport]:
     """One sieve pass shared across the x checkpoints xs, one or a list, and
-    the filters; the convenient split of every checkpoint takes the cutoffs
+    the filters; the convenient split of every checkpoint takes the cutoff
     of the largest x."""
     xs = _ladder(xs)
     filter_names = tuple(filter_names)  # read by each share
-    params = ConvenientParams.from_x(xs[-1], delta=delta, J=J)
+    y = convenient_cutoff(xs[-1], delta=delta)
     if any(f not in FILTERS for f in filter_names):
         raise InvalidConfigError(f"filter must be one of {FILTERS}")
     counts, n_con = _sum_shares(_fan_out(
-        lambda lo, hi: _census(spec, q, lo, hi, xs, params, filter_names),
+        lambda lo, hi: _census(spec, q, lo, hi, xs, y, filter_names),
         q, xs[-1], len(xs) * len(filter_names) * q))
     profile = alpha(spec.F, q)  # past the guards of _fan_out, no guard of alpha can trip
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1

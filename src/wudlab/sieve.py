@@ -132,26 +132,16 @@ def f_mod(spec: MultiplicativeSpec, n: int, q: int) -> tuple[int, bool]:
     return val, math.gcd(val, q) == 1
 
 
-@dataclass(frozen=True)
-class ConvenientParams:
-    """x and the derived cutoffs J, y of the convenient split."""
-
-    x: float
-    J: int
-    y: float
-
-    @classmethod
-    def from_x(cls, x: float, delta: float = 1.0, J: int = 1) -> "ConvenientParams":
-        """The cutoffs J >= 1 and y = exp((log x)^(delta/2)) at x. J defaults to
-        1: the paper's J = floor(log log log x) is 1 for every x in (e^(e^e),
-        e^(e^(e^2))), about (3.8*10^6, 10^702), and does not exist below it."""
-        if not 0 < delta <= 1:
-            raise InvalidConfigError(f"delta must be in (0, 1], got {delta}")
-        if x < 1:
-            raise InvalidConfigError(f"x must be >= 1, got {x}")
-        if J < 1:
-            raise InvalidConfigError("J must be >= 1")
-        return cls(x=x, J=J, y=math.exp(math.log(x) ** (delta / 2)))
+def convenient_cutoff(x: float, delta: float = 1.0) -> float:
+    """The cutoff y = exp((log x)^(delta/2)) of the convenient split at x.
+    The split is the paper's at J = 1: n is convenient when P_1(n) > y and
+    P_1(n) != P_2(n). The paper's J = floor(log log log x) is 1 for every x in
+    (e^(e^e), e^(e^(e^2))), about (3.8*10^6, 10^702), and does not exist below it."""
+    if not 0 < delta <= 1:
+        raise InvalidConfigError(f"delta must be in (0, 1], got {delta}")
+    if x < 1:
+        raise InvalidConfigError(f"x must be >= 1, got {x}")
+    return math.exp(math.log(x) ** (delta / 2))
 
 
 @dataclass(frozen=True)
@@ -180,13 +170,8 @@ class FactorizationRecord:
             i -= e
         return 1
 
-    def is_convenient(self, params: ConvenientParams) -> bool:
-        if self.n > params.x:
-            return False
-        tops = [self.P(k) for k in range(1, params.J + 2)]
-        if tops[params.J - 1] <= params.y:
-            return False
-        return all(tops[i] != tops[i + 1] for i in range(params.J))
+    def is_convenient(self, y: float) -> bool:
+        return self.P(1) > y and self.P(1) != self.P(2)
 
     def additive_sums(self) -> tuple[int, int]:
         """(A(n), A*(n)): sum and alternating sum of prime factors with
@@ -227,13 +212,12 @@ class SegmentData:
             raise GuardExceededError(f"segment tracked only {self.slots.shape[0]} slots")
         return np.where(self.slots[k - 1] > 0, self.slots[k - 1], 1)
 
-    def convenient(self, params: ConvenientParams) -> np.ndarray:
-        J = params.J
-        if J + 1 > self.slots.shape[0]:
-            raise GuardExceededError("need k_slots >= J + 1 for the convenient flag")
-        ok = self.slots[J - 1] > params.y
-        for i in range(J):
-            ok &= self.slots[i] != self.slots[i + 1]
+    def convenient(self, y: float) -> np.ndarray:
+        """P_1(n) > y and P_1(n) != P_2(n), the convenient split at cutoff y."""
+        if self.slots.shape[0] < 2:
+            raise GuardExceededError("need k_slots >= 2 for the convenient flag")
+        ok = self.slots[0] > y
+        ok &= self.slots[0] != self.slots[1]
         return ok
 
 
@@ -441,15 +425,13 @@ def iter_segments(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
 
 
 def sieve_range(spec: MultiplicativeSpec, lo: int, hi: int, q: int,
-                params: ConvenientParams) -> Iterator[dict]:
+                y: float) -> Iterator[dict]:
     """Per-n rows (n, f_mod_q, coprime, Omega, P1, P2, convenient) for n in
     [lo, hi]; for desk-scale record dumps."""
     if hi - lo + 1 > RECORD_GUARD:
         raise GuardExceededError(f"record streaming capped at {RECORD_GUARD} values")
-    for seg in iter_segments(spec, lo, hi, q, k_slots=params.J + 1,
-                             fields=("fmod", "Omega")):
-        columns = (seg.fmod, seg.coprime, seg.Omega, seg.P(1), seg.P(2),
-                   seg.convenient(params))
+    for seg in iter_segments(spec, lo, hi, q, k_slots=2, fields=("fmod", "Omega")):
+        columns = (seg.fmod, seg.coprime, seg.Omega, seg.P(1), seg.P(2), seg.convenient(y))
         for n, f, c, o, p1, p2, conv in zip(range(seg.lo, seg.hi),
                                              *(col.tolist() for col in columns)):
             yield {"n": n, "f_mod_q": f, "coprime": c, "Omega": o,

@@ -217,8 +217,8 @@ def test_criterion_08_additive_tuple_identity():
 def trend_runs():
     t0 = time.monotonic()
     spec = MultiplicativeSpec(F=PHI)
-    q5 = run_distribution_multi(spec, 5, [10**4, 10**5, 10**6, 10**7], J=1)
-    q3 = run_distribution_multi(spec, 3, [10**5, 10**6, 10**7], J=1)
+    q5 = run_distribution_multi(spec, 5, [10**4, 10**5, 10**6, 10**7])
+    q3 = run_distribution_multi(spec, 3, [10**5, 10**6, 10**7])
     cex = run_scenario("counterexample-ii", D=2, q1=5, x=10**7)
     add4 = run_additive(4, 10**7)
     return {"q5": q5, "q3": q3, "cex": cex, "add4": add4,

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wudlab import lab, tuples
+from wudlab import cli, lab, poly, tuples
 from wudlab.cli import main
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
 from wudlab.number_core import is_prime
@@ -42,9 +42,9 @@ from wudlab.sieve import (
     DEFAULT_SEGMENT,
     RULES,
     SIEVE_GUARD,
-    ConvenientParams,
     FactorizationRecord,
     MultiplicativeSpec,
+    convenient_cutoff,
     f_mod,
     iter_segments,
 )
@@ -83,7 +83,7 @@ class TestDistribution:
 
     def test_conservation(self):
         for rep in run_distribution_multi(_phi_spec(), 7, [100, 1000, 5000],
-                                          J=1, filter_names=["none", "p2-rough"]):
+                                          filter_names=["none", "p2-rough"]):
             assert sum(rep.class_counts.values()) == rep.n_coprime
             assert rep.n_con + rep.n_inc == rep.n_coprime
 
@@ -93,7 +93,7 @@ class TestDistribution:
 
     def test_filter_monotonicity(self):
         # P_2 > q is weaker than P_{D+2} > q, so its counts dominate
-        reps = run_distribution_multi(_phi_spec(), 35, [10**5], J=1,
+        reps = run_distribution_multi(_phi_spec(), 35, [10**5],
                                       filter_names=["p2-rough", "pD2-rough"])
         by_filter = {r.filter: r for r in reps}
         p2, pd2 = by_filter["p2-rough"], by_filter["pD2-rough"]
@@ -107,19 +107,19 @@ class TestDistribution:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_inconvenient_fraction_shrinks(self):
-        reps = run_distribution_multi(_phi_spec(), 7, [10**5, 10**6], J=1)
+        reps = run_distribution_multi(_phi_spec(), 7, [10**5, 10**6])
         fracs = [r.n_inc / r.n_coprime for r in reps]
         assert fracs[1] < fracs[0]
 
     def test_filters_match_masked_reference(self):
         # q = 35 has non-unit classes (0, 5, 7, ...), which the counts must skip
         q, x = 35, 3000
-        spec, params = _phi_spec(), ConvenientParams.from_x(x, J=1)
-        reps = run_distribution_multi(spec, q, [x], J=1, filter_names=FILTERS)
+        spec, y = _phi_spec(), convenient_cutoff(x)
+        reps = run_distribution_multi(spec, q, [x], filter_names=FILTERS)
         keep = {"none": lambda rec: True,
                 "pD2-rough": lambda rec: rec.P(3) > q,
                 "p2-rough": lambda rec: rec.P(2) > q,
-                "convenient-only": lambda rec: rec.is_convenient(params)}
+                "convenient-only": lambda rec: rec.is_convenient(y)}
         for rep in reps:
             counts, n_con = Counter(), 0
             for n in range(1, x + 1):
@@ -127,7 +127,7 @@ class TestDistribution:
                 val, cop = f_mod(spec, n, q)
                 if cop and keep[rep.filter](rec):
                     counts[val] += 1
-                    n_con += rec.is_convenient(params)
+                    n_con += rec.is_convenient(y)
             units = [a for a in range(q) if math.gcd(a, q) == 1]
             assert rep.class_counts == {a: counts[a] for a in units}
             assert rep.n_coprime == sum(counts.values())
@@ -140,9 +140,9 @@ class TestDistribution:
 
     def test_filters_read_once(self):
         # every share builds its own accumulators from the filter names
-        want = run_distribution_multi(_phi_spec(), 35, [2000], J=1,
+        want = run_distribution_multi(_phi_spec(), 35, [2000],
                                       filter_names=["none", "pD2-rough"])
-        assert run_distribution_multi(_phi_spec(), 35, [2000], J=1,
+        assert run_distribution_multi(_phi_spec(), 35, [2000],
                                       filter_names=iter(["none", "pD2-rough"])) == want
 
     def test_bad_filter(self):
@@ -303,9 +303,9 @@ class TestFanOut:
     @settings(max_examples=40, deadline=None)
     def test_split_equals_one_share(self, coeffs, rule, q, xs, filters, n):
         spec = MultiplicativeSpec(F=IntPoly(tuple(coeffs)), rule=rule)
-        one = run_distribution_multi(spec, q, xs, J=1, filter_names=filters)
+        one = run_distribution_multi(spec, q, xs, filter_names=filters)
         with _shares(n):
-            split = run_distribution_multi(spec, q, xs, J=1, filter_names=filters)
+            split = run_distribution_multi(spec, q, xs, filter_names=filters)
         assert split == one
         _no_child_left()
 
@@ -386,7 +386,7 @@ class TestFanOut:
             with pytest.raises(GuardExceededError, match="sieve guard"):
                 run_additive(4, SIEVE_GUARD + 1)
             with pytest.raises(GuardExceededError, match="modulus guard"):
-                run_distribution_multi(_phi_spec(), 2 * 10**6, [10**6], J=1,
+                run_distribution_multi(_phi_spec(), 2 * 10**6, [10**6],
                                        filter_names=[])
 
 
@@ -411,9 +411,8 @@ def _census_cases(draw):
     top = draw(st.sampled_from([1, 2, 3]) | st.integers(1000, 3000))
     xs = draw(st.lists(st.sampled_from([1, 2, 3]) | st.integers(1, top), max_size=3))
     xs.append(top)
-    J = draw(st.sampled_from([1, 2]))
     delta = draw(st.floats(0, 1, exclude_min=True))
-    return spec, q, xs, J, delta
+    return spec, q, xs, delta
 
 
 class TestCensusOracle:
@@ -421,12 +420,12 @@ class TestCensusOracle:
     every n <= x, which knows nothing of the even n = 2^e m."""
 
     @staticmethod
-    def _oracle(spec, q, xs, J, delta):
-        params = ConvenientParams.from_x(max(xs), delta=delta, J=J)
+    def _oracle(spec, q, xs, delta):
+        y = convenient_cutoff(max(xs), delta=delta)
         keep = {"none": lambda rec: True,
                 "pD2-rough": lambda rec: rec.P(spec.F.degree + 2) > q,
                 "p2-rough": lambda rec: rec.P(2) > q,
-                "convenient-only": lambda rec: rec.is_convenient(params)}
+                "convenient-only": lambda rec: rec.is_convenient(y)}
         units = [a for a in range(q) if math.gcd(a, q) == 1]
         out = []
         for x in sorted(set(xs)):
@@ -436,7 +435,7 @@ class TestCensusOracle:
                     val, coprime = f_mod(spec, n, q)
                     if coprime and keep[name](_record(n)):
                         counts[val] += 1
-                        n_con += _record(n).is_convenient(params)
+                        n_con += _record(n).is_convenient(y)
                 out.append((x, name, {a: counts[a] for a in units},
                             sum(counts.values()), n_con))
         return out
@@ -444,12 +443,11 @@ class TestCensusOracle:
     @given(_census_cases(), st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_per_n_path(self, case, n):
-        spec, q, xs, J, delta = case
-        want = self._oracle(spec, q, xs, J, delta)
-        one = run_distribution_multi(spec, q, xs, delta=delta, J=J, filter_names=FILTERS)
+        spec, q, xs, delta = case
+        want = self._oracle(spec, q, xs, delta)
+        one = run_distribution_multi(spec, q, xs, delta=delta, filter_names=FILTERS)
         with _shares(n):
-            split = run_distribution_multi(spec, q, xs, delta=delta, J=J,
-                                           filter_names=FILTERS)
+            split = run_distribution_multi(spec, q, xs, delta=delta, filter_names=FILTERS)
         for reps in (one, split):
             assert [(r.x, r.filter, r.class_counts, r.n_coprime, r.n_con)
                     for r in reps] == want
@@ -459,11 +457,10 @@ class TestCensusOracle:
         # P_1(2) = 2 > y = 1.5 makes n = 2 convenient and m = 1 not, so the
         # flags of an odd m no longer carry over to 2^e m
         spec, q, x = _phi_spec(), 5, 3000
-        params = ConvenientParams(x=x, J=1, y=1.5)
-        ((counts,),), ((n_con,),) = lab._census(spec, q, 1, x, [x], params,
+        ((counts,),), ((n_con,),) = lab._census(spec, q, 1, x, [x], 1.5,
                                                 ("convenient-only",))
         want = Counter(f_mod(spec, n, q)[0] for n in range(1, x + 1)
-                       if f_mod(spec, n, q)[1] and _record(n).is_convenient(params))
+                       if f_mod(spec, n, q)[1] and _record(n).is_convenient(1.5))
         assert n_con == sum(want.values())
         assert {a: int(counts[a]) for a in range(1, q)} == {a: want[a] for a in range(1, q)}
 
@@ -477,11 +474,11 @@ class TestCensusMemory:
 
     def test_peak_is_one_segment(self):
         spec, q, x = _phi_spec(), 5, 10**6
-        params = ConvenientParams.from_x(x, J=1)
-        lab._census(spec, q, 1, 3000, [3000], params, ("none",))  # build the caches
+        y = convenient_cutoff(x)
+        lab._census(spec, q, 1, 3000, [3000], y, ("none",))  # build the caches
         tracemalloc.start()
         try:
-            lab._census(spec, q, 1, x, [x], params, ("none",))
+            lab._census(spec, q, 1, x, [x], y, ("none",))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -553,7 +550,7 @@ class TestCli:
 
     def test_dist_csv(self, capsys):
         assert main(["--format", "csv", "dist", "--poly", "phi",
-                     "--q", "5", "--x", "2000", "--J", "1"]) == 0
+                     "--q", "5", "--x", "2000"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split(",") == list(CSV_COLUMNS)
 
@@ -705,6 +702,32 @@ class TestCli:
             assert main(["scenario", "counterexample-i", "--D", str(D), "--x", "1000"]) == 0
         assert json.loads(capsys.readouterr().out)["summary"]["D"] == D
 
+    def test_preset_degree_guard_exit_3(self, capsys):
+        # refused before the exact discriminant, which takes seconds past D = 40
+        with _deadline(30), mock.patch.object(poly, "_discriminant",
+                                              side_effect=AssertionError("disc ran")):
+            assert main(["scenario", "counterexample-ii", "--D", "250", "--x", "100"]) == 3
+            assert main(["dist", "--poly", "counterexample-i D=60", "--q", "7",
+                         "--x", "100"]) == 3
+            assert main(["scenario", "counterexample-i", "--D", "1000", "--x", "100"]) == 3
+        assert capsys.readouterr().err.count(
+            f"preset degree guard {poly.PRESET_DEGREE_GUARD}") == 3
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["chars", "--poly", "phi", "--ell", "7", "--t", "99"], "--t must be in [0, 6)"),
+        (["tuples", "--poly", "phi", "--q", "35", "--J", "2", "--w", "40"], "--w must be"),
+        (["tuples", "--poly", "phi", "--q", "35", "--J", "2", "--w", "-1"], "--w must be"),
+        (["tuples", "--poly", "phi", "--q", "35", "--J", "2", "--w", "foo"], "--w must be"),
+    ], ids=["t-99", "w-40", "w-minus-1", "w-foo"])
+    def test_index_out_of_range_exit_2(self, capsys, argv, flag):
+        # checked before any count, not reduced to another index
+        with mock.patch.object(cli, "z_chi", side_effect=AssertionError("counted")), \
+                mock.patch.object(cli, "hypothesis_a_ratio",
+                                  side_effect=AssertionError("counted")):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
     def test_density_unbalanced_q_exit_3(self, capsys):
         # q = 1000003 * (10^15 + 37) is factored, then refused by the root scan
         with _deadline(30):
@@ -732,20 +755,9 @@ class TestCli:
     def test_sieve_dump(self, tmp_path, capsys):
         dump = tmp_path / "records.csv"
         assert main(["sieve", "--poly", "phi", "--q", "5", "--x", "500",
-                     "--J", "1", "--dump", str(dump)]) == 0
+                     "--dump", str(dump)]) == 0
         lines = dump.read_text().splitlines()
         assert len(lines) == 501  # header + one row per n
-
-    @pytest.mark.parametrize("command, x", [("sieve", 10**6), ("dist", 10**5)],
-                             ids=["sieve", "dist"])
-    def test_J_defaults_to_one(self, capsys, command, x):
-        # the paper's J is 1 from x = e^(e^e) ~ 3.8*10^6 on and undefined below
-        args = [command, "--poly", "phi", "--q", "5", "--x", str(x)]
-        default = _stdout(capsys, args)
-        assert default == _stdout(capsys, [*args, "--J", "1"])
-        assert default != _stdout(capsys, [*args, "--J", "2"])
-        if command == "sieve":
-            assert len(json.loads(default)) == 50
 
     def test_dist_checks_every_q_before_a_census(self, capsys):
         with mock.patch.object(lab, "_fan_out", side_effect=AssertionError("census ran")):
@@ -757,21 +769,21 @@ class TestCli:
     def test_sieve_rows_match_reference(self, tmp_path, capsys):
         # the dump and the printed rows, against the per-n reference path
         x, q = 2000, 5
-        spec, params = _phi_spec(), ConvenientParams.from_x(x, J=1)
+        spec, y = _phi_spec(), convenient_cutoff(x)
         rows = []
         for n in range(1, x + 1):
             rec = FactorizationRecord.of(n)
             val, cop = f_mod(spec, n, q)
             rows.append({"n": n, "f_mod_q": val, "coprime": cop, "Omega": rec.Omega,
                          "P1": rec.P(1), "P2": rec.P(2),
-                         "convenient": rec.is_convenient(params)})
+                         "convenient": rec.is_convenient(y)})
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
         dump = tmp_path / "records.csv"
-        args = ["sieve", "--poly", "phi", "--q", str(q), "--x", str(x), "--J", "1"]
+        args = ["sieve", "--poly", "phi", "--q", str(q), "--x", str(x)]
         assert main([*args, "--dump", str(dump)]) == 0
         assert dump.read_bytes() == expected.read_bytes()
         capsys.readouterr()
@@ -780,8 +792,8 @@ class TestCli:
 
     # custom-table needs an explicit table, which the command line cannot give
     @pytest.mark.parametrize("argv", [
-        ["dist", "--poly", "phi", "--q", "5", "--x", "100", "--J", "1"],
-        ["sieve", "--poly", "phi", "--q", "5", "--x", "100", "--J", "1"],
+        ["dist", "--poly", "phi", "--q", "5", "--x", "100"],
+        ["sieve", "--poly", "phi", "--q", "5", "--x", "100"],
         ["scenario", "restricted-a", "--q", "35", "--x", "100"],
     ])
     def test_custom_table_rule_exit_2(self, argv, capsys):
@@ -865,10 +877,10 @@ class TestCli:
     @pytest.mark.parametrize("rule", [r for r in RULES if r != "custom-table"])
     def test_cli_rules_accepted(self, rule, capsys):
         assert main(["dist", "--poly", "phi", "--rule", rule, "--q", "5",
-                     "--x", "100", "--J", "1"]) == 0
+                     "--x", "100"]) == 0
 
     @pytest.mark.parametrize("argv", [
-        ["sieve", "--poly", "phi", "--q", "5", "--x", "0", "--J", "1"],
+        ["sieve", "--poly", "phi", "--q", "5", "--x", "0"],
         ["scenario", "additive", "--q", "4", "--x", "0"],
         ["scenario", "additive", "--q", "4", "--x", "-5"],
     ])

@@ -19,10 +19,10 @@ from wudlab.sieve import (
     MODULUS_GUARD,
     RULES,
     SIEVE_GUARD,
-    ConvenientParams,
     FactorizationRecord,
     MultiplicativeSpec,
     additive_values,
+    convenient_cutoff,
     f_mod,
     iter_segments,
     sieve_range,
@@ -75,31 +75,19 @@ class TestRules:
 
 
 class TestConvenientParams:
-    def test_desk_scale_defaults_to_J_1(self):
-        # floor(log log log 10^6) = 0: the paper's J does not exist there
-        assert ConvenientParams.from_x(10**6).J == 1
+    """convenient_cutoff: the y of the convenient split, and its input checks."""
 
-    def test_override(self):
-        params = ConvenientParams.from_x(10**6, J=1)
-        assert params.J == 1
-        assert params.y == pytest.approx(math.exp(math.sqrt(math.log(10**6))))
-
-    def test_natural_j_above_threshold(self):
-        # e^(e^e) ~ 3.81e6; just above it, J = 1 appears naturally
-        assert ConvenientParams.from_x(4e6).J == 1
+    def test_y_value(self):
+        assert convenient_cutoff(10**6) == pytest.approx(math.exp(math.sqrt(math.log(10**6))))
 
     def test_bad_delta(self):
         with pytest.raises(InvalidConfigError):
-            ConvenientParams.from_x(10**6, delta=1.5, J=1)
-
-    def test_j_zero_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            ConvenientParams.from_x(10**6, J=0)
+            convenient_cutoff(10**6, delta=1.5)
 
     @pytest.mark.parametrize("x", [0, -5, 0.5])
     def test_x_below_one_rejected(self, x):
         with pytest.raises(InvalidConfigError, match="x must be >= 1"):
-            ConvenientParams.from_x(x, J=1)
+            convenient_cutoff(x)
 
 
 class TestFactorizationRecord:
@@ -109,9 +97,9 @@ class TestFactorizationRecord:
         assert [rec.P(k) for k in range(1, 7)] == [11, 7, 3, 2, 2, 1]
 
     def test_convenient_example(self):
-        params = ConvenientParams(x=10**6, J=2, y=5.0)
-        assert FactorizationRecord.of(924).is_convenient(params)  # 11 > 7 > 5
-        assert not FactorizationRecord.of(49).is_convenient(params)  # 7 = 7
+        assert FactorizationRecord.of(924).is_convenient(5.0)  # 11 > 5, 11 != 7
+        assert not FactorizationRecord.of(924).is_convenient(11.0)  # 11 = y
+        assert not FactorizationRecord.of(49).is_convenient(5.0)  # 7 = 7
 
     @given(st.integers(min_value=2, max_value=10**6))
     @settings(max_examples=200)
@@ -335,8 +323,7 @@ class TestKernelProperty:
 class TestRecordStream:
     def test_records(self, phi_poly):
         spec = MultiplicativeSpec(F=phi_poly)
-        params = ConvenientParams(x=1000.0, J=1, y=10.0)
-        recs = {r["n"]: r for r in sieve_range(spec, 1, 1000, 5, params)}
+        recs = {r["n"]: r for r in sieve_range(spec, 1, 1000, 5, 10.0)}
         assert len(recs) == 1000
         r924 = recs[924]
         assert (r924["P1"], r924["P2"]) == (11, 7)
@@ -346,18 +333,17 @@ class TestRecordStream:
 
     def test_record_guard(self, phi_poly):
         spec = MultiplicativeSpec(F=phi_poly)
-        params = ConvenientParams(x=1e7, J=1, y=10.0)
         with pytest.raises(GuardExceededError):
-            next(sieve_range(spec, 1, 2 * 10**6, 5, params))
+            next(sieve_range(spec, 1, 2 * 10**6, 5, 10.0))
 
     def test_convenient_census_matches_reference(self, phi_poly):
         spec = MultiplicativeSpec(F=phi_poly)
-        params = ConvenientParams.from_x(20000, J=1)
+        y = convenient_cutoff(20000)
         for seg in iter_segments(spec, 1, 20000, 5, k_slots=2):
-            flags = seg.convenient(params)
+            flags = seg.convenient(y)
             for i in range(0, seg.hi - seg.lo, 7):
                 rec = FactorizationRecord.of(seg.lo + i)
-                assert bool(flags[i]) == rec.is_convenient(params)
+                assert bool(flags[i]) == rec.is_convenient(y)
 
 
 def _near_split(x: int) -> list[int]:
