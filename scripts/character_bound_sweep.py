@@ -25,7 +25,7 @@ def main() -> int:
     ap.add_argument("--limit", type=int, default=343)
     args = ap.parse_args()
 
-    F = parse_poly(args.poly).require_separable()
+    F = parse_poly(args.poly)
     print(f"F = {F}")
     print(f"{'ell^e':>8} {'#chi':>6} {'max |Z|':>10} {'bound':>10} "
           f"{'saturation':>10}")

@@ -22,7 +22,7 @@ def main() -> int:
     ap.add_argument("--jmax", type=int, default=8)
     args = ap.parse_args()
 
-    F = parse_poly(args.poly).require_separable()
+    F = parse_poly(args.poly)
     js = list(range(2, args.jmax + 1, 2))
     print(f"F = {F}; max_w |phi(q) V''(w)/V' - 1| by J")
     print(f"{'q':>6} " + " ".join(f"{f'J={j}':>12}" for j in js))

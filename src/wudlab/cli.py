@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--q", type=int, required=True)
     t.add_argument("--J", type=int, required=True)
     t.add_argument("--w", default="all")
-    t.add_argument("--method", default="auto",
+    t.add_argument("--method", default=None,  # None is auto, and refused with --additive
                    choices=("brute", "char", "linear", "cross-check", "auto"))
     t.add_argument("--additive", action="store_true")
 
@@ -110,7 +110,9 @@ def _emit_reports(reports: list, args) -> None:
 
 
 def _cmd_density(args) -> None:
-    F = parse_poly(args.poly).require_separable()
+    if args.q < 1:
+        raise InvalidConfigError(f"--q must be >= 1, got {args.q}")
+    F = parse_poly(args.poly)
     prof = alpha(F, args.q)
     xi = xi_max_roots(F, args.q)
     record = {
@@ -157,7 +159,7 @@ def _cmd_sieve(args) -> None:
 def _cmd_chars(args) -> None:
     if args.curve is not None and args.format == "csv":
         raise InvalidConfigError("--curve is reported in JSON only; drop --format csv")
-    F = parse_poly(args.poly).require_separable()
+    F = parse_poly(args.poly)
     table = build_character_table(args.ell, args.e)
     if args.t is not None and not 0 <= args.t < table.phi:
         raise InvalidConfigError(f"--t must be in [0, {table.phi}), got {args.t}")
@@ -192,8 +194,12 @@ def _w_panel(w: str, q: int) -> list[int] | None:
 
 
 def _cmd_tuples(args) -> None:
-    F = parse_poly(args.poly)
     q = args.q
+    if q < 1:
+        raise InvalidConfigError(f"--q must be >= 1, got {q}")
+    if args.additive and args.method is not None:
+        raise InvalidConfigError("--method does not apply to --additive; drop one")
+    F = parse_poly(args.poly)
     panel = _w_panel(args.w, q)
     if args.additive:
         ws = panel or range(q)
@@ -205,8 +211,7 @@ def _cmd_tuples(args) -> None:
                          "predicted": rep.predicted})
         _emit(rows, args)
         return
-    F.require_separable()
-    method = {"char": "character"}.get(args.method, args.method)
+    method = {"char": "character", None: "auto"}.get(args.method, args.method)
     if args.method == "cross-check":
         ws = panel or [w for w in range(1, q) if math.gcd(w, q) == 1]
         rows = []

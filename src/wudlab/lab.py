@@ -490,13 +490,13 @@ def _ladder(x: int | Sequence[int]) -> list[int]:
 
 
 def _scenario_counterexample_i(D: int = 2, x: int = 10**6) -> ScenarioReport:
-    F = parse_poly(f"counterexample-i D={int(D)}").require_separable()
+    F = parse_poly(f"counterexample-i D={int(D)}")
     primes = [p for p in admissible_primes(F, 1000) if p > int(D) + 1][:2]
     return _scenario_counterexample("counterexample-i", F, math.prod(primes), 2, D, x)
 
 
 def _scenario_counterexample_ii(D: int = 2, q1: int = 5, x: int = 10**6) -> ScenarioReport:
-    F = parse_poly(f"counterexample-ii D={int(D)}").require_separable()
+    F = parse_poly(f"counterexample-ii D={int(D)}")
     return _scenario_counterexample("counterexample-ii", F, int(q1) ** int(D), 1, D, x)
 
 

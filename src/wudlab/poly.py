@@ -1,24 +1,26 @@
-"""Integer polynomials F(T): evaluation, the discriminant quantity used for
-admissibility, and the admissible-prime scan.
+"""Integer polynomials F(T): evaluation, admissibility, separability, and
+the named presets that parse_poly reads.
 
-The discriminant quantity delta is disc(F) when F(0) = 0 and disc(T*F(T))
-otherwise; every admissibility decision is gated on it, so all arithmetic
-here is exact integer (Sylvester resultants, no floating point).
+A prime ell is admissible when it is odd and divides neither lc(F) nor
+delta, which is disc(F) when F(0) = 0 and disc(T*F(T)) = F(0)^2 disc(F)
+otherwise. Both questions, whether ell | delta and whether disc(F) != 0,
+are answered mod primes by a gcd over F_ell; delta itself is never formed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from wudlab.errors import GuardExceededError, InvalidConfigError
-from wudlab.number_core import primes_upto
+from wudlab.number_core import is_prime, primes_upto
 
-# the largest degree D of a counterexample preset: the exact discriminant that
-# require_separable computes before any count took 0.08 s at D = 30, 0.51 s at
-# D = 40 and 2.3 s at D = 50 for counterexample-i on a 2-vCPU Xeon VM
+# the largest degree D of a counterexample preset; no cost forces it: the
+# counterexample-i scenario at x = 1000 took 0.03 s at D = 40 and 0.19 s at
+# D = 100 in process on a 2-vCPU Xeon VM
 PRESET_DEGREE_GUARD = 40
 
 
@@ -30,61 +32,29 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_deriv(c: list[int]) -> list[int]:
-    return [i * c[i] for i in range(1, len(c))]
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _resultant(f: list[int], g: list[int]) -> int:
-    """Res(f, g) via the Sylvester matrix. Coefficient lists are c0..cD."""
-    df, dg = len(f) - 1, len(g) - 1
-    n = df + dg
-    rows = []
-    frev = f[::-1]  # leading coefficient first
-    grev = g[::-1]
-    for i in range(dg):
-        rows.append([0] * i + frev + [0] * (n - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + grev + [0] * (n - dg - 1 - i))
-    return _det_bareiss(rows)
-
-
-def _discriminant(c: list[int]) -> int:
-    """disc of the polynomial with coefficients c0..cD (cD != 0), exact."""
-    d = len(c) - 1
-    if d == 1:
-        return 1
-    dpoly = _poly_deriv(c)
-    while dpoly and dpoly[-1] == 0:
-        dpoly.pop()
-    if not dpoly:
-        return 0
-    res = _resultant(c, dpoly)
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    num = sign * res
-    assert num % c[-1] == 0
-    return num // c[-1]
+def _repeated_factor_mod(c, ell: int) -> bool:
+    """Whether c (c0..cd, cd prime to the prime ell) has a repeated factor
+    over F_ell, that is whether ell | disc(c): gcd(c, c') mod ell is not
+    constant. A zero c' (ell | i*c_i for every i) makes c an ell-th power."""
+    a = [x % ell for x in c]
+    b = [i * c[i] % ell for i in range(1, len(c))]
+    while b and not b[-1]:
+        b.pop()
+    if not b:
+        return len(a) > 1
+    while len(b) > 1:  # Euclid: a <- a mod b, then swap
+        inv, nb = pow(b[-1], -1, ell), len(b) - 1
+        while len(a) > nb:
+            k = a.pop() * inv % ell
+            s = len(a) - nb
+            for i in range(nb):
+                a[s + i] = (a[s + i] - k * b[i]) % ell
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return True
+        a, b = b, a
+    return False
 
 
 @dataclass(frozen=True)
@@ -105,20 +75,23 @@ class IntPoly:
     def leading(self) -> int:
         return self.coeffs[-1]
 
-    @cached_property
-    def delta(self) -> int:
-        """disc(F) if F(0) = 0, else disc(T*F(T))."""
-        c = list(self.coeffs)
-        if c[0] != 0:
-            c = [0] + c  # T * F(T)
-        return _discriminant(c)
-
     def require_separable(self) -> "IntPoly":
+        """self, once a prime not dividing lc(F) leaves F squarefree, so that
+        disc(F) != 0; disc(F) = 0 once the primes that fail (each divides it)
+        multiply past the Hadamard bound of Sylvester(F, F')."""
         if self.degree < 1:
             raise InvalidConfigError("defining polynomial must be nonconstant")
-        if self.delta == 0:
-            raise InvalidConfigError("polynomial has repeated roots (delta = 0)")
-        return self
+        c, d = self.coeffs, self.degree
+        h2 = sum(x * x for x in c) ** (d - 1) * sum((i * x) ** 2 for i, x in enumerate(c)) ** d
+        failed = 1
+        for ell in filter(is_prime, itertools.count(2)):
+            if c[-1] % ell == 0:
+                continue
+            if not _repeated_factor_mod(c, ell):
+                return self
+            failed *= ell
+            if failed * failed > h2:
+                raise InvalidConfigError("polynomial has repeated roots (delta = 0)")
 
     def eval_int(self, v: int) -> int:
         acc = 0
@@ -131,7 +104,7 @@ class IntPoly:
         """F'(T), or None when F is constant."""
         if self.degree < 1:
             return None
-        return IntPoly(tuple(_poly_deriv(list(self.coeffs))))
+        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
     def eval_mod(self, v, m: int):
         """Horner evaluation of F(v) mod m, result in [0, m).
@@ -181,9 +154,13 @@ class IntPoly:
         return " + ".join(reversed(terms)).replace("+ -", "- ") or "0"
 
 
+@lru_cache(maxsize=1 << 14)
 def is_admissible_prime(F: IntPoly, ell: int) -> bool:
-    """Structural admissibility: odd, not dividing lc(F) or delta."""
-    return ell != 2 and F.leading % ell != 0 and F.delta % ell != 0
+    """Structural admissibility of the prime ell: odd, not dividing lc(F) or
+    delta = disc(T*F) = F(0)^2 disc(F) (disc(F) when F(0) = 0)."""
+    c0 = F.coeffs[0]
+    return (ell != 2 and F.leading % ell != 0 and (c0 == 0 or c0 % ell != 0)
+            and not _repeated_factor_mod(F.coeffs, ell))
 
 
 def admissible_primes(F: IntPoly, bound: int) -> list[int]:
@@ -226,25 +203,26 @@ def _counterexample_ii(D: int) -> IntPoly:
 def parse_poly(text: str) -> IntPoly:
     """Parse a polynomial spec: '[-1, 1]' (constant term first), or one of
     the presets 'phi', 'sigma', 'counterexample-i D=<d>', 'counterexample-ii D=<d>'.
+    A constant or a polynomial with a repeated root is refused.
     """
     s = text.strip()
-    if s == "phi":
-        return IntPoly((-1, 1))
-    if s == "sigma":
-        return IntPoly((1, 1))
-    if s.startswith("counterexample-ii"):
-        return _counterexample_ii(_parse_degree(s[len("counterexample-ii"):]))
-    if s.startswith("counterexample-i"):
-        return _counterexample_i(_parse_degree(s[len("counterexample-i"):]))
-    if s.startswith("[") and s.endswith("]"):
+    if s in ("phi", "sigma"):
+        F = IntPoly((-1, 1) if s == "phi" else (1, 1))
+    elif s.startswith("counterexample-ii"):
+        F = _counterexample_ii(_parse_degree(s[len("counterexample-ii"):]))
+    elif s.startswith("counterexample-i"):
+        F = _counterexample_i(_parse_degree(s[len("counterexample-i"):]))
+    elif s.startswith("[") and s.endswith("]"):
         try:
             coeffs = tuple(int(tok) for tok in s[1:-1].split(",") if tok.strip())
         except ValueError as exc:
             raise InvalidConfigError(f"bad coefficient list {text!r}") from exc
         if not coeffs:
             raise InvalidConfigError("empty coefficient list")
-        return IntPoly(coeffs)
-    raise InvalidConfigError(f"unrecognized polynomial spec {text!r}")
+        F = IntPoly(coeffs)
+    else:
+        raise InvalidConfigError(f"unrecognized polynomial spec {text!r}")
+    return F.require_separable()
 
 
 def _parse_degree(rest: str) -> int:

@@ -703,9 +703,9 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["summary"]["D"] == D
 
     def test_preset_degree_guard_exit_3(self, capsys):
-        # refused before the exact discriminant, which takes seconds past D = 40
-        with _deadline(30), mock.patch.object(poly, "_discriminant",
-                                              side_effect=AssertionError("disc ran")):
+        # refused before the preset's product is multiplied out
+        with _deadline(30), mock.patch.object(poly, "_poly_mul",
+                                              side_effect=AssertionError("preset built")):
             assert main(["scenario", "counterexample-ii", "--D", "250", "--x", "100"]) == 3
             assert main(["dist", "--poly", "counterexample-i D=60", "--q", "7",
                          "--x", "100"]) == 3
@@ -713,17 +713,50 @@ class TestCli:
         assert capsys.readouterr().err.count(
             f"preset degree guard {poly.PRESET_DEGREE_GUARD}") == 3
 
+    def test_degree_60_coefficient_list_finishes(self, capsys):
+        # past the preset guard as a coefficient list: separability and
+        # admissibility are decided mod primes, with no exact discriminant
+        c = [1]
+        for k in range(1, 61):
+            c = poly._poly_mul(c, [-2 * k, 1])
+        c[0] += 2  # counterexample-i at D = 60
+        with _deadline(5):
+            assert main(["dist", "--poly", str(c), "--q", "7", "--x", "100"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_coprime"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--q", "5", "--x", "100"],
+        ["sieve", "--q", "5", "--x", "100"],
+        ["scenario", "restricted-a", "--x", "100"],
+        ["scenario", "restricted-b", "--x", "100"],
+        ["tuples", "--q", "5", "--J", "2", "--additive"],
+    ], ids=["dist", "sieve", "restricted-a", "restricted-b", "tuples-additive"])
+    def test_inseparable_poly_exit_2(self, capsys, argv):
+        # every command checks its --poly where it is parsed
+        assert main([*argv, "--poly", "[1, -2, 1]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "repeated roots" in captured.err
+
     @pytest.mark.parametrize("argv, flag", [
         (["chars", "--poly", "phi", "--ell", "7", "--t", "99"], "--t must be in [0, 6)"),
         (["tuples", "--poly", "phi", "--q", "35", "--J", "2", "--w", "40"], "--w must be"),
         (["tuples", "--poly", "phi", "--q", "35", "--J", "2", "--w", "-1"], "--w must be"),
         (["tuples", "--poly", "phi", "--q", "35", "--J", "2", "--w", "foo"], "--w must be"),
-    ], ids=["t-99", "w-40", "w-minus-1", "w-foo"])
+        (["tuples", "--poly", "phi", "--q", "0", "--J", "2"], "--q must be >= 1, got 0"),
+        (["tuples", "--poly", "phi", "--q", "-5", "--J", "2"], "--q must be >= 1, got -5"),
+        (["density", "--poly", "phi", "--q", "0"], "--q must be >= 1, got 0"),
+        (["density", "--poly", "phi", "--q", "-3"], "--q must be >= 1, got -3"),
+        (["tuples", "--poly", "phi", "--q", "7", "--J", "2", "--additive", "--method",
+          "cross-check", "--w", "3"], "--method does not apply to --additive"),
+    ], ids=["t-99", "w-40", "w-minus-1", "w-foo", "tuples-q-0", "tuples-q-minus-5",
+            "density-q-0", "density-q-minus-3", "additive-method"])
     def test_index_out_of_range_exit_2(self, capsys, argv, flag):
-        # checked before any count, not reduced to another index
-        with mock.patch.object(cli, "z_chi", side_effect=AssertionError("counted")), \
-                mock.patch.object(cli, "hypothesis_a_ratio",
-                                  side_effect=AssertionError("counted")):
+        # checked before any count, not reduced to another index or ignored
+        counted = {"side_effect": AssertionError("counted")}
+        with mock.patch.object(cli, "z_chi", **counted), \
+                mock.patch.object(cli, "hypothesis_a_ratio", **counted), \
+                mock.patch.object(cli, "additive_tuple_counts", **counted), \
+                mock.patch.object(cli, "alpha", **counted):
             assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err

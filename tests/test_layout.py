@@ -45,6 +45,17 @@ def test_no_private_cross_module_imports(path):
     assert not bad, f"{path.name} imports private names: {bad}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_only_stdlib_and_numpy(path):
+    # numpy is the one runtime dependency; sympy and the other oracles stay in tests/
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    names = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
+    tops = {name.partition(".")[0] for name in names}
+    outside = sorted(tops - set(sys.stdlib_module_names) - {"numpy", "wudlab"})
+    assert not outside, f"{path.name} imports {outside}"
+
+
 def _exported(tree: ast.Module) -> set[str]:
     """The string entries of a module-level ``__all__`` list or tuple."""
     for node in tree.body:

@@ -1,4 +1,4 @@
-"""Integer polynomials: evaluation, the discriminant gate, admissibility."""
+"""Integer polynomials: evaluation, separability, admissibility, parsing."""
 
 import numpy as np
 import pytest
@@ -104,45 +104,76 @@ class TestEval:
         assert IntPoly((3,)).derivative is None
 
 
+def _delta(F):
+    """delta from sympy: disc(F) when F(0) = 0, else disc(T * F(T))."""
+    c = list(F.coeffs) if F.coeffs[0] == 0 else [0, *F.coeffs]
+    return int(sympy.discriminant(_sympy_poly(c).as_expr(), T))
+
+
+@st.composite
+def _polys(draw):
+    """F of degree 1..8: plain, g^2 h (so disc(F) = 0), or T times one (F(0) = 0)."""
+    def coeffs(lo, hi):
+        c = draw(st.lists(st.integers(-20, 20), min_size=lo + 1, max_size=hi + 1))
+        return c[:-1] + [c[-1] or 1]
+
+    kind = draw(st.sampled_from(["plain", "plain", "square", "times-T"]))
+    if kind == "square":
+        g = coeffs(1, 3)
+        h = coeffs(0, 8 - 2 * (len(g) - 1))
+        c = [int(v) for v in reversed((_sympy_poly(g) ** 2 * _sympy_poly(h)).all_coeffs())]
+    else:
+        c = coeffs(1, 8) if kind == "plain" else [0] + coeffs(0, 7)
+    return IntPoly(tuple(c))
+
+
+PRIMES_BELOW_500 = [p for p in range(2, 500) if sympy.isprime(p)]
+
+
 class TestDiscriminant:
+    """Admissibility and separability, decided mod primes, against sympy's delta."""
+
     def test_quad(self):
-        # disc of T * (T^2 + 1) = T^3 + T
-        assert IntPoly((1, 0, 1)).delta == -4
+        # delta = disc(T^3 + T) = -4: every odd prime is admissible
+        F = IntPoly((1, 0, 1))
+        assert [p for p in PRIMES_BELOW_500 if not is_admissible_prime(F, p)] == [2]
 
     def test_linear_with_constant(self):
-        # disc of T(T - 1) = T^2 - T is b^2 - 4ac = 1
-        assert IntPoly((-1, 1)).delta == 1
+        # delta = disc(T^2 - T) = 1
+        F = IntPoly((-1, 1)).require_separable()
+        assert all(is_admissible_prime(F, p) for p in PRIMES_BELOW_500[1:])
 
     def test_zero_constant_term(self):
-        # F(0) = 0, so delta = disc(F) directly; degree-1 disc is 1
-        assert IntPoly((0, 1)).delta == 1
+        # F(0) = 0, so delta = disc(F): 1 for T, 9 for T^2 - 3T
+        assert all(is_admissible_prime(IntPoly((0, 1)), p) for p in PRIMES_BELOW_500[1:])
+        F = IntPoly((0, -3, 1))
+        assert [p for p in PRIMES_BELOW_500 if not is_admissible_prime(F, p)] == [2, 3]
 
     def test_constant_rejected(self):
         with pytest.raises(InvalidConfigError):
             IntPoly((3,)).require_separable()
 
-    @given(st.lists(st.integers(-20, 20), min_size=3, max_size=6))
-    @settings(max_examples=150)
-    def test_matches_sympy(self, coeffs):
-        if coeffs[-1] == 0:
-            coeffs[-1] = 1
-        F = IntPoly(tuple(coeffs))
-        c = list(coeffs)
-        if c[0] != 0:
-            c = [0] + c  # delta is the discriminant of T * F(T)
-        assert F.delta == int(sympy.discriminant(_sympy_poly(c).as_expr(), T))
+    @given(_polys())
+    @example(IntPoly((1, -2, 1)))  # (T - 1)^2
+    @example(IntPoly((0, 0, 3)))  # 3 T^2
+    @example(IntPoly((5, 0, 0, 0, 0, 1)))  # T^5 + 5: its derivative vanishes mod 5
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, F):
+        delta = _delta(F)
+        for ell in PRIMES_BELOW_500:
+            assert is_admissible_prime(F, ell) == (
+                ell != 2 and F.leading % ell != 0 and delta % ell != 0), ell
 
-    @given(st.lists(st.integers(-20, 20), min_size=3, max_size=6))
-    @settings(max_examples=100)
-    def test_nonzero_iff_squarefree(self, coeffs):
-        if coeffs[-1] == 0:
-            coeffs[-1] = 1
-        F = IntPoly(tuple(coeffs))
-        c = list(coeffs)
-        if c[0] != 0:
-            c = [0] + c
-        g = sympy.gcd(_sympy_poly(c), _sympy_poly(c).diff(T))
-        assert (F.delta != 0) == (g.degree() == 0)
+    @given(_polys())
+    @example(IntPoly((1, -2, 1)))
+    @example(IntPoly((0, 0, 3)))
+    @settings(max_examples=150, deadline=None)
+    def test_nonzero_iff_squarefree(self, F):
+        if _delta(F) != 0:
+            assert F.require_separable() is F
+        else:
+            with pytest.raises(InvalidConfigError, match="repeated roots"):
+                F.require_separable()
 
     def test_repeated_root_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -162,8 +193,9 @@ class TestAdmissible:
     def test_admissible_never_divides_delta(self, poly_panel):
         for F in poly_panel + [_counterexample_i(3), _counterexample_ii(3)]:
             primes = admissible_primes(F, 500)
+            delta = _delta(F)
             for ell in primes:
-                assert F.delta % ell != 0
+                assert delta % ell != 0
                 assert F.leading % ell != 0
 
     def test_two_never_admissible(self, poly_panel):
@@ -203,6 +235,15 @@ class TestParse:
     def test_zero_lead_rejected(self):
         with pytest.raises(InvalidConfigError):
             IntPoly((1, 0))
+
+    @pytest.mark.parametrize("spec, message", [
+        ("[1, -2, 1]", "repeated roots"), ("[0, 0, 1]", "repeated roots"),
+        ("[3]", "nonconstant"),
+    ], ids=["square", "T-squared", "constant"])
+    def test_every_spec_is_checked(self, spec, message):
+        # parse_poly is where every input polynomial is checked
+        with pytest.raises(InvalidConfigError, match=message):
+            parse_poly(spec)
 
     def test_str_roundtrip_readable(self):
         assert str(IntPoly((-1, 1))) == "T - 1"

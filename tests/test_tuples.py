@@ -16,7 +16,7 @@ from reference import additive_brute_loop, v_double_brute_flat
 from wudlab import tuples
 from wudlab.errors import InvalidConfigError
 from wudlab.number_core import crt_solve, factor
-from wudlab.poly import IntPoly
+from wudlab.poly import IntPoly, is_admissible_prime
 from wudlab.tuples import (
     BRUTE_GUARD,
     _additive_brute_all,
@@ -192,7 +192,7 @@ class TestVDouble:
         R, S = rs
         ell, e = pe
         F = IntPoly((S, R)) if S != 0 else IntPoly((0, R))
-        if F.delta % ell == 0 or R % ell == 0:
+        if not is_admissible_prime(F, ell):
             return  # closed form is stated for admissible ell
         for w in range(1, ell**e):
             if math.gcd(w, ell) != 1:
