@@ -14,6 +14,7 @@ Example:
 import argparse
 import sys
 
+from wudlab.cli import exit_code
 from wudlab.characters import build_character_table, z_chi
 from wudlab.number_core import primes_upto
 from wudlab.poly import is_admissible_prime, parse_poly
@@ -52,4 +53,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -11,6 +11,7 @@ Example:
 import argparse
 import sys
 
+from wudlab.cli import exit_code
 from wudlab.poly import parse_poly
 from wudlab.tuples import hypothesis_a_ratio
 
@@ -34,4 +35,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -8,7 +8,6 @@ appear only when a sum is actually formed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,68 +15,32 @@ from functools import lru_cache
 import numpy as np
 
 from wudlab.errors import ConsistencyError, InvalidConfigError
-from wudlab.density import alpha
-from wudlab.number_core import UnitGroupView, factor, is_prime, unit_group
+from wudlab.number_core import UnitGroupView, is_prime, unit_group
 from wudlab.poly import IntPoly, is_admissible_prime
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """The full character group mod ell^e (ell odd), indexed t = 0..phi-1.
-
-    chi_t(g^k) = e(t k / phi) for the fixed smallest generator g; chi_0 is
-    principal. conductor(t) is the smallest ell^{e0} through which chi_t
-    factors.
-    """
-
-    ell: int
-    e: int
-    modulus: int
-    unit_view: UnitGroupView
-
-    @property
-    def phi(self) -> int:
-        return self.unit_view.order
-
-    def chi_exponent(self, t: int, u: int) -> int | None:
-        """k with chi_t(u) = e(k/phi), or None when gcd(u, ell) > 1."""
-        r = int(self.unit_view.log_table[u % self.modulus])
-        if r < 0:
-            return None
-        return (t * r) % self.phi
-
-    def chi(self, t: int, u: int) -> complex:
-        k = self.chi_exponent(t, u)
-        if k is None:
-            return 0j
-        return cmath.exp(2j * cmath.pi * k / self.phi)
-
-    def conductor_exponent(self, t: int) -> int:
-        """Smallest e0 with chi_t factoring through ell^{e0} (0 for chi_0,
-        i.e. conductor 1)."""
-        t %= self.phi
-        if t == 0:
-            return 0
-        for e0 in range(1, self.e + 1):
-            phi_e0 = self.ell ** (e0 - 1) * (self.ell - 1)
-            # trivial on the index-phi(ell^e0) subgroup {g^(phi_e0 * k)}
-            if (t * phi_e0) % self.phi == 0:
-                return e0
-        raise ConsistencyError("character must factor through its own modulus")
-
-    def conductor(self, t: int) -> int:
-        return self.ell ** self.conductor_exponent(t)
-
-    def order_of(self, t: int) -> int:
-        return self.phi // math.gcd(t % self.phi, self.phi)
-
-
 @lru_cache(maxsize=128)
-def build_character_table(ell: int, e: int) -> CharacterTable:
+def build_character_table(ell: int, e: int) -> UnitGroupView:
+    """The character group mod ell^e (ell odd) as the unit group's log table:
+    chi_t(g^k) = e(t k / phi) for t = 0..phi-1 and the fixed smallest
+    generator g; chi_0 is principal."""
     if ell == 2:
         raise InvalidConfigError("characters mod powers of 2 are out of scope")
-    view = unit_group(ell, e)
-    return CharacterTable(ell=ell, e=e, modulus=ell**e, unit_view=view)
+    return unit_group(ell, e)
+
+
+def conductor_exponent(view: UnitGroupView, t: int) -> int:
+    """Smallest e0 with chi_t factoring through ell^{e0} (0 for chi_0,
+    i.e. conductor 1)."""
+    t %= view.phi
+    if t == 0:
+        return 0
+    for e0 in range(1, view.e + 1):
+        phi_e0 = view.ell ** (e0 - 1) * (view.ell - 1)
+        # trivial on the index-phi(ell^e0) subgroup {g^(phi_e0 * k)}
+        if (t * phi_e0) % view.phi == 0:
+            return e0
+    raise ConsistencyError("character must factor through its own modulus")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -90,10 +53,10 @@ def unit_value_logs(F: IntPoly, ell: int, e: int) -> np.ndarray:
     """Discrete logs of the unit values F(v), over unit v mod ell^e in
     increasing order (v with F(v) a non-unit are skipped)."""
     m = ell**e
-    view = build_character_table(ell, e).unit_view
+    view = build_character_table(ell, e)
     logs = view.log_table[F.eval_mod(np.arange(m, dtype=np.int64)[view.log_table >= 0], m)]
     # z_chi forms t * log <= (phi - 1)^2: int32 when that fits
-    width = np.int32 if (view.order - 1) ** 2 < 2**31 else np.int64
+    width = np.int32 if (view.phi - 1) ** 2 < 2**31 else np.int64
     return _read_only(logs[logs >= 0].astype(width))
 
 
@@ -122,37 +85,29 @@ def _weil_d(F: IntPoly, ell: int) -> int:
     return F.degree if F.coeffs[0] % ell == 0 else F.degree + 1
 
 
-def z_chi(F: IntPoly, table: CharacterTable, t: int) -> ZChiReport:
+def z_chi(F: IntPoly, view: UnitGroupView, t: int) -> ZChiReport:
     """Z_chi = sum over v mod ell^e of chi_0(v) chi_t(F(v)), exact sum.
 
     The unit-value logs and the roots of unity depend only on (F, ell^e)
     and are cached, so a sweep over all t pays for them once.
     """
-    phi = table.phi
-    tk = (t % phi) * unit_value_logs(F, table.ell, table.e)
+    phi = view.phi
+    tk = (t % phi) * unit_value_logs(F, view.ell, view.e)
     # the gather indexes with intp: an int32 index costs numpy a conversion
     ks = (tk - tk // phi * phi).astype(np.intp, copy=False)
     z = complex(_roots_of_unity(phi)[ks].sum())
-    e0 = table.conductor_exponent(t)
-    d = _weil_d(F, table.ell)
-    bound_cond = (d - 1) * table.ell ** (table.e - max(e0, 1) / d)
+    e0 = conductor_exponent(view, t)
+    d = _weil_d(F, view.ell)
+    bound_cond = (d - 1) * view.ell ** (view.e - max(e0, 1) / d)
     # the primitive-case shape only binds when chi is primitive mod ell^e;
     # an imprimitive chi factors through its conductor and obeys the
     # conductor-reduced form instead
-    bound = (d - 1) * table.ell ** (table.e * (1 - 1 / d)) if e0 == table.e else bound_cond
-    binding = is_admissible_prime(F, table.ell) and t % phi != 0
+    bound = (d - 1) * view.ell ** (view.e * (1 - 1 / d)) if e0 == view.e else bound_cond
+    binding = is_admissible_prime(F, view.ell) and t % phi != 0
     within = abs(z) <= bound + 1e-9 if binding else None
-    return ZChiReport(t=t % phi, conductor=table.ell**e0, value=z, abs=abs(z),
+    return ZChiReport(t=t % phi, conductor=view.ell**e0, value=z, abs=abs(z),
                       d=d, bound=bound, bound_conductor=bound_cond,
                       binding=binding, within_bound=within)
-
-
-def z_chi_principal_exact(F: IntPoly, ell: int, e: int) -> int:
-    """Z_{chi_0} = phi(ell^e) * alpha(ell^e), an exact integer."""
-    prof = alpha(F, ell**e)
-    val = prof.alpha * factor(ell**e).phi
-    assert val.denominator == 1
-    return int(val)
 
 
 def ramanujan_sum(ell: int, e: int, r: int) -> int:

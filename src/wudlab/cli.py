@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from wudlab.density import alpha, xi_max_roots
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
@@ -183,6 +184,7 @@ def _cmd_chars(args) -> None:
 def _w_panel(w: str, q: int) -> list[int] | None:
     """The one target --w names, or None for all of them."""
     if w == "all":
+        check_modulus(q)  # one row per target: refuse q before building them
         return None
     try:
         target = int(w)
@@ -197,6 +199,8 @@ def _cmd_tuples(args) -> None:
     q = args.q
     if q < 1:
         raise InvalidConfigError(f"--q must be >= 1, got {q}")
+    if args.J < 1:
+        raise InvalidConfigError(f"--J must be >= 1, got {args.J}")
     if args.additive and args.method is not None:
         raise InvalidConfigError("--method does not apply to --additive; drop one")
     F = parse_poly(args.poly)
@@ -296,21 +300,12 @@ _COMMANDS = {"density": _cmd_density, "sieve": _cmd_sieve, "chars": _cmd_chars,
              "tuples": _cmd_tuples, "dist": _cmd_dist, "scenario": _cmd_scenario}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_code(body: Callable[[], int]) -> int:
+    """Run body and return its exit code, or the code of the error it
+    raised, after one line on stderr. ``main`` and the scripts call this, so
+    every front end maps an error to the same code."""
     try:
-        if args.config is not None and args.command is not None:
-            raise InvalidConfigError(f"--config takes no command, got {args.command}")
-        if args.out is not None and args.config is None:
-            raise InvalidConfigError("--out is read only with --config")
-        if args.config is not None:
-            _run_config(args.config, args)
-        elif args.command in _COMMANDS:
-            _COMMANDS[args.command](args)
-        else:
-            parser.print_help()
-            return EXIT_CONFIG
+        code = body()
         sys.stdout.flush()  # a closed stdout raises here, not at exit
     except BrokenPipeError:
         # the reader has every line it wanted; the rest goes to devnull, so
@@ -326,7 +321,28 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
+    return code
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.config is not None and args.command is not None:
+        raise InvalidConfigError(f"--config takes no command, got {args.command}")
+    if args.out is not None and args.config is None:
+        raise InvalidConfigError("--out is read only with --config")
+    if args.config is not None:
+        _run_config(args.config, args)
+    elif args.command in _COMMANDS:
+        _COMMANDS[args.command](args)
+    else:
+        parser.print_help()
+        return EXIT_CONFIG
     return EXIT_OK
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    return exit_code(lambda: _run(parser, args))
 
 
 if __name__ == "__main__":

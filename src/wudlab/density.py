@@ -72,7 +72,7 @@ class LocalDensity:
     ell: int
     e: int
     nu: int           # unit roots of F mod ell
-    nu_lifted: int    # unit roots of F mod ell^e
+    nu_lifted: int | None  # unit roots of F mod ell^e; None past LIFT_GUARD
     alpha_local: Fraction  # 1 - nu(ell)/(ell - 1)
     admissible: bool
 
@@ -88,7 +88,10 @@ class DensityProfile:
 def _local_density(F: IntPoly, ell: int, e: int) -> LocalDensity:
     """The factor of alpha at ell^e; it depends on q only through (ell, e)."""
     nu, _ = count_unit_roots(F, ell, 1)
-    nu_lift = count_unit_roots(F, ell, e)[0] if 1 < e and ell**e <= LIFT_GUARD else nu
+    if e == 1:
+        nu_lift = nu
+    else:  # past the lift guard nu(ell^e) is unknown, not nu(ell)
+        nu_lift = count_unit_roots(F, ell, e)[0] if ell**e <= LIFT_GUARD else None
     return LocalDensity(ell=ell, e=e, nu=nu, nu_lifted=nu_lift,
                         alpha_local=Fraction(ell - 1 - nu, ell - 1),
                         admissible=is_admissible_prime(F, ell))

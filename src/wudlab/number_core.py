@@ -1,7 +1,7 @@
 """Integer and modular-arithmetic foundation.
 
 Factorization into prime powers (trial division, then Pollard-Brent rho),
-CRT, cyclic unit-group structure modulo odd prime powers, and the primes up
+cyclic unit-group structure modulo odd prime powers, and the primes up
 to SIEVE_GUARD. All values are immutable after construction and safe to
 share.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -91,10 +90,6 @@ class FactoredModulus:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    @property
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(ell**e for ell, e in self.factors)
-
 
 def factor(n: int) -> FactoredModulus:
     """Canonical factorization of n >= 1. factor(1) has an empty factor list."""
@@ -170,28 +165,6 @@ def _rho(n: int) -> int:
     return d
 
 
-def crt_solve(residues: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Solve x = r_i (mod m_i) for pairwise coprime m_i.
-
-    Returns (x, M) with 0 <= x < M = prod(m_i). Rejects non-coprime moduli,
-    naming the offending pair.
-    """
-    if not residues:
-        raise InvalidConfigError("crt_solve needs at least one congruence")
-    x, m = residues[0][0] % residues[0][1], residues[0][1]
-    for r_i, m_i in residues[1:]:
-        g = math.gcd(m, m_i)
-        if g != 1:
-            raise InvalidConfigError(
-                f"moduli {m} and {m_i} share factor {g}; CRT needs pairwise coprime moduli"
-            )
-        # x + m*t = r_i (mod m_i)
-        t = (r_i - x) * pow(m, -1, m_i) % m_i
-        x += m * t
-        m *= m_i
-    return x % m, m
-
-
 @dataclass(frozen=True)
 class UnitGroupView:
     """Cyclic unit group mod an odd prime power, with a discrete-log table.
@@ -204,7 +177,7 @@ class UnitGroupView:
     e: int
     modulus: int
     generator: int
-    order: int
+    phi: int
     log_table: np.ndarray
 
     def log(self, u: int) -> int:
@@ -212,9 +185,6 @@ class UnitGroupView:
         if r < 0:
             raise InvalidConfigError(f"{u} is not a unit mod {self.modulus}")
         return r
-
-    def pow_g(self, k: int) -> int:
-        return pow(self.generator, k % self.order, self.modulus)
 
 
 @lru_cache(maxsize=256)
@@ -225,10 +195,10 @@ def unit_group(ell: int, e: int) -> UnitGroupView:
     if e < 1 or not is_prime(ell):
         raise InvalidConfigError(f"unit_group needs an odd prime and e >= 1, got ({ell}, {e})")
     m = ell**e
-    order = ell ** (e - 1) * (ell - 1)
-    if order > TABLE_GUARD:
-        raise GuardExceededError(f"phi({ell}^{e}) = {order} exceeds table guard {TABLE_GUARD}")
-    cofactors = [order // p for p, _ in factor(order).factors]
+    phi = ell ** (e - 1) * (ell - 1)
+    if phi > TABLE_GUARD:
+        raise GuardExceededError(f"phi({ell}^{e}) = {phi} exceeds table guard {TABLE_GUARD}")
+    cofactors = [phi // p for p, _ in factor(phi).factors]
     g = None
     for cand in range(2, m):
         if cand % ell == 0:
@@ -239,8 +209,8 @@ def unit_group(ell: int, e: int) -> UnitGroupView:
     assert g is not None, "cyclic group must have a generator"
     table = np.full(m, -1, dtype=np.int64)
     u = 1
-    for r in range(order):
+    for r in range(phi):
         table[u] = r
         u = u * g % m
     assert u == 1, "generator order mismatch"
-    return UnitGroupView(ell=ell, e=e, modulus=m, generator=g, order=order, log_table=table)
+    return UnitGroupView(ell=ell, e=e, modulus=m, generator=g, phi=phi, log_table=table)

@@ -27,6 +27,7 @@ from wudlab.density import alpha
 from wudlab.errors import ConsistencyError, GuardExceededError, InvalidConfigError
 from wudlab.number_core import FactoredModulus, factor
 from wudlab.poly import IntPoly
+from wudlab.sieve import check_modulus
 
 BRUTE_GUARD = 10**7  # tuples per brute table; bounds time only, memory is O(q + BLOCK)
 BLOCK = 2**17  # most values in one brute block: the fastest of a 2^14..2^18 sweep
@@ -234,7 +235,7 @@ def count_v_double(F: IntPoly, q: FactoredModulus | int, J: int, w: int,
         return int(_v_double_brute_all(F, q.q, J)[w % q.q])
     if method == "character":
         return math.prod(_v_double_char_prime_power(F, ell, e, J)[
-            build_character_table(ell, e).unit_view.log(w)] for ell, e in q.factors)
+            build_character_table(ell, e).log(w)] for ell, e in q.factors)
     total = 1
     for ell, e in q.factors:
         total *= _v_double_linear_prime_power(F, ell, e, J, w % ell**e)
@@ -253,12 +254,12 @@ def v_double_incex_term(F: IntPoly, ell: int, e: int, J: int, j: int, w: int) ->
     if not 0 <= j <= J:
         raise InvalidConfigError(f"need 0 <= j <= J, got j={j}, J={J}")
     m = ell**e
-    table = build_character_table(ell, e)
-    k = table.unit_view.log(w)
-    logs = table.unit_view.log_table[F.eval_mod(np.arange(m, dtype=np.int64), m)]
+    view = build_character_table(ell, e)
+    k = view.log(w)
+    logs = view.log_table[F.eval_mod(np.arange(m, dtype=np.int64), m)]
     div = logs[::ell]
-    c_all = np.bincount(logs[logs >= 0], minlength=table.phi)
-    c_div = np.bincount(div[div >= 0], minlength=table.phi)
+    c_all = np.bincount(logs[logs >= 0], minlength=view.phi)
+    c_div = np.bincount(div[div >= 0], minlength=view.phi)
     return _cyclic_product((c_div, j), (c_all, J - j))[k]
 
 
@@ -291,10 +292,13 @@ class MixingReport:
 def hypothesis_a_ratio(F: IntPoly, q: FactoredModulus | int, J: int,
                        w_panel: list[int] | None = None,
                        method: str = "auto") -> MixingReport:
-    """phi(q) V''(w) / V' over a panel of unit targets w."""
+    """phi(q) V''(w) / V' over a panel of unit targets w (every unit when
+    w_panel is None, which check_modulus bounds)."""
     if isinstance(q, int):
         q = factor(q)
     _require_odd(q)
+    if w_panel is None:
+        check_modulus(q.q)
     vp = count_v_prime(F, q, J).count
     if vp == 0:
         raise InvalidConfigError(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wudlab.density import (
+    LIFT_GUARD,
     alpha,
     alpha_direct_count,
     brute_unit_roots,
@@ -88,6 +89,15 @@ class TestAlpha:
             for q in (2, 3, 4, 5, 6, 7, 9):
                 for ld in alpha(F, q).locals:
                     assert (ld.alpha_local == 0) == (ld.nu == ld.ell - 1)
+
+    def test_nu_lifted_unknown_past_lift_guard(self):
+        # F = (T - 1)^2 + 3 has one unit root mod 3 and none mod 3^18: past
+        # the lift guard nu(3^e) is not counted, and nu(3) does not stand in
+        F = IntPoly((4, -2, 1))
+        assert count_unit_roots(F, 3, 18)[0] == 0 and 3**19 > LIFT_GUARD
+        prof = alpha(F, 3**19)
+        assert prof.locals[0].nu == 1 and prof.locals[0].nu_lifted is None
+        assert prof.alpha == alpha(F, 3).alpha == Fraction(1, 2)
 
     def test_q_one(self):
         assert alpha(IntPoly((-1, 1)), 1).alpha == 1

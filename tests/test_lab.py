@@ -748,8 +748,12 @@ class TestCli:
         (["density", "--poly", "phi", "--q", "-3"], "--q must be >= 1, got -3"),
         (["tuples", "--poly", "phi", "--q", "7", "--J", "2", "--additive", "--method",
           "cross-check", "--w", "3"], "--method does not apply to --additive"),
+        (["tuples", "--poly", "phi", "--q", "5", "--J", "0"], "--J must be >= 1, got 0"),
+        (["tuples", "--poly", "phi", "--q", "5", "--J", "0", "--additive"],
+         "--J must be >= 1, got 0"),
     ], ids=["t-99", "w-40", "w-minus-1", "w-foo", "tuples-q-0", "tuples-q-minus-5",
-            "density-q-0", "density-q-minus-3", "additive-method"])
+            "density-q-0", "density-q-minus-3", "additive-method", "tuples-J-0",
+            "additive-J-0"])
     def test_index_out_of_range_exit_2(self, capsys, argv, flag):
         # checked before any count, not reduced to another index or ignored
         counted = {"side_effect": AssertionError("counted")}
@@ -760,6 +764,24 @@ class TestCli:
             assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
+
+    @pytest.mark.parametrize("mode", [[], ["--additive"], ["--method", "cross-check"]],
+                             ids=["product", "additive", "cross-check"])
+    def test_all_targets_past_modulus_guard_exit_3(self, capsys, mode):
+        # --w all is one row per target: q is refused before any count
+        counted = {"side_effect": AssertionError("counted")}
+        with mock.patch.object(cli, "hypothesis_a_ratio", **counted), \
+                mock.patch.object(cli, "count_v_double", **counted), \
+                mock.patch.object(cli, "additive_tuple_counts", **counted):
+            assert main(["tuples", "--poly", "phi", "--q", "1000003", "--J", "1", *mode]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "modulus guard" in captured.err
+
+    def test_one_target_past_modulus_guard_runs(self, capsys):
+        # 1000005 = 3 * 5 * 163 * 409; the prime 1000003 stops at the root scan
+        assert main(["tuples", "--poly", "phi", "--q", "1000005", "--J", "1", "--w", "2",
+                     "--method", "linear"]) == 0
+        assert [row["w"] for row in json.loads(capsys.readouterr().out)] == [2]
 
     def test_density_unbalanced_q_exit_3(self, capsys):
         # q = 1000003 * (10^15 + 37) is factored, then refused by the root scan

@@ -13,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,45 @@ def test_no_unread_imports(path):
     assert not unread, f"{path.name} imports names it never reads: {unread}"
 
 
+# public names that only tests read, each kept for the reason given
+TEST_ONLY_NAMES = {
+    "ramanujan_sum": "acceptance criterion 4 and the README use the closed form",
+    "eval_int": "exact Python-int evaluator, the reference oracle for eval_mod",
+    "is_convenient": "the per-n convenient flag, the reference oracle for the sieve's split",
+}
+
+
+def _public_definitions() -> dict[str, int]:
+    """Each public top-level function and class of src/wudlab, and each
+    public method of a public class, with the number of its definitions."""
+    counts: Counter = Counter()
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                counts[node.name] += 1
+                if isinstance(node, ast.ClassDef):
+                    counts.update(sub.name for sub in node.body
+                                  if isinstance(sub, ast.FunctionDef)
+                                  and not sub.name.startswith("_"))
+    return counts
+
+
+def test_every_public_name_has_a_program_reader():
+    # a name that only tests call is code no program path needs; the match
+    # is by whole word, strings included, so a name that tracing wraps by
+    # its string counts as read
+    program = "\n".join(path.read_text() for path in
+                        MODULES + sorted((ROOT / "scripts").glob("*.py"))
+                        + sorted((ROOT / "perfbench").glob("*.py")))
+    exported = _exported(ast.parse((SRC / "__init__.py").read_text()))
+    unread = sorted(name for name, n in _public_definitions().items()
+                    if len(re.findall(rf"\b{name}\b", program)) <= n
+                    and name not in exported)
+    assert unread == sorted(TEST_ONLY_NAMES), \
+        f"public names read only by tests: {sorted(set(unread) - set(TEST_ONLY_NAMES))}; " \
+        f"allowed names now read by the program: {sorted(set(TEST_ONLY_NAMES) - set(unread))}"
+
+
 def _dest(call: ast.Call) -> str:
     """The attribute an ``add_argument`` call stores into, as argparse names it."""
     for kw in call.keywords:
@@ -152,3 +192,18 @@ def test_scripts_run(argv, header, last):
     lines = proc.stdout.splitlines()
     assert proc.returncode == 0, proc.stderr
     assert lines[1] == header and lines[-1] == last
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["character_bound_sweep.py", "--poly", "[1, -2, 1]"], 2, "repeated roots"),
+    (["mixing_ratio_table.py", "--poly", "[1, -2, 1]"], 2, "repeated roots"),
+    (["mixing_ratio_table.py", "--q", "4"], 2, "need odd q"),
+], ids=["sweep-poly", "mixing-poly", "mixing-even-q"])
+def test_scripts_bad_input_exit_code(argv, code, message):
+    # a bad input is one error line and the CLI's exit code, not a traceback
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1

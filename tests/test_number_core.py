@@ -1,18 +1,17 @@
-"""Foundation layer: factorization, CRT, unit groups, the prime list."""
+"""Foundation layer: factorization, unit groups, the prime list."""
 
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from wudlab import number_core
 from wudlab.errors import GuardExceededError, InvalidConfigError
 from wudlab.number_core import (
     FactoredModulus,
-    crt_solve,
     factor,
     is_prime,
     primes_upto,
@@ -27,7 +26,6 @@ class TestFactor:
         assert fm.phi == 96
         assert fm.omega == 3
         assert not fm.is_squarefree
-        assert fm.prime_powers == (8, 9, 5)
 
     def test_one(self):
         fm = factor(1)
@@ -121,47 +119,11 @@ class TestPrimes:
         assert is_prime(n) == all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-COPRIME_POOL = (5, 7, 9, 11, 13, 16, 17, 19, 23)
-
-
-class TestCrt:
-    def test_two_congruences(self):
-        assert crt_solve([(2, 5), (3, 7)]) == (17, 35)
-
-    def test_single(self):
-        assert crt_solve([(0, 11)]) == (0, 11)
-
-    def test_three_congruences_vs_scan(self):
-        x, m = crt_solve([(4, 9), (2, 25), (1, 7)])
-        assert m == 1575
-        brute = [v for v in range(1575) if v % 9 == 4 and v % 25 == 2 and v % 7 == 1]
-        assert brute == [x]
-
-    def test_non_coprime_named(self):
-        with pytest.raises(InvalidConfigError, match="6 and 10"):
-            crt_solve([(1, 6), (3, 10)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            crt_solve([])
-
-    @given(
-        st.integers(min_value=0, max_value=10**9),
-        st.sets(st.sampled_from(COPRIME_POOL), min_size=1, max_size=5),
-    )
-    @settings(max_examples=300)
-    def test_inverse_property(self, x, moduli):
-        mods = sorted(moduli)
-        sol, m = crt_solve([(x % mi, mi) for mi in mods])
-        assert m == math.prod(mods)
-        assert sol == x % m
-
-
 class TestUnitGroup:
     def test_mod_7(self):
         g = unit_group(7, 1)
         assert g.generator == 3
-        assert g.order == 6
+        assert g.phi == 6
 
     def test_identity_log(self):
         assert unit_group(5, 1).log(1) == 0
@@ -169,22 +131,22 @@ class TestUnitGroup:
     def test_mod_9(self):
         g = unit_group(3, 2)
         assert g.generator == 2
-        assert g.order == 6
+        assert g.phi == 6
         assert g.log(4) == 2
-        assert g.pow_g(2) == 4
+        assert pow(g.generator, 2, g.modulus) == 4
 
     @pytest.mark.parametrize("ell,e", [(3, 1), (3, 4), (5, 3), (7, 2), (11, 2),
                                        (101, 1), (9973, 1)])
     def test_powers_enumerate_units_once(self, ell, e):
         g = unit_group(ell, e)
         m = ell**e
-        seen = {pow(g.generator, k, m) for k in range(g.order)}
+        seen = {pow(g.generator, k, m) for k in range(g.phi)}
         units = {u for u in range(m) if math.gcd(u, m) == 1}
         assert seen == units
         # log table is the inverse map
         for u in sorted(units)[:50]:
-            assert g.pow_g(g.log(u)) == u
-        assert np.count_nonzero(g.log_table >= 0) == g.order
+            assert pow(g.generator, g.log(u), g.modulus) == u
+        assert np.count_nonzero(g.log_table >= 0) == g.phi
 
     def test_non_unit_log_rejected(self):
         with pytest.raises(InvalidConfigError):

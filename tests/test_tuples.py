@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.modular import crt
 
 from reference import additive_brute_loop, v_double_brute_flat
 from wudlab import tuples
-from wudlab.errors import InvalidConfigError
-from wudlab.number_core import crt_solve, factor
+from wudlab.errors import GuardExceededError, InvalidConfigError
+from wudlab.number_core import factor
 from wudlab.poly import IntPoly, is_admissible_prime
 from wudlab.tuples import (
     BRUTE_GUARD,
@@ -234,7 +235,7 @@ class TestBruteWidth:
             for r in range(1, ell - 1):
                 c = [(a - r * b) % ell for a, b in zip([0] + c, c + [0])]
             local.append(c)
-        F = IntPoly(tuple(crt_solve([(c[k], ell) for c, ell in zip(local, ells)])[0]
+        F = IntPoly(tuple(int(crt(ells, [c[k] for c in local])[0])
                           for k in range(16)))
         u = q - 2
         assert F.eval_int(q - 1) % q == u and u * u >= 2**31
@@ -273,7 +274,7 @@ def _sparse_wilson_poly():
             c = [(a - r * b) % ell for a, b in zip([0] + c, c + [0])]
         local.append(c)
     q = math.prod(ells)
-    F = IntPoly(tuple(crt_solve([(c[k], ell) for c, ell in zip(local, ells)])[0]
+    F = IntPoly(tuple(int(crt(ells, [c[k] for c in local])[0])
                       for k in range(16)))
     return F, q
 
@@ -440,6 +441,12 @@ class TestMixing:
         F = IntPoly((-1, 0, 1))
         with pytest.raises(InvalidConfigError, match="vacuous"):
             hypothesis_a_ratio(F, 3, 2)
+
+    def test_all_targets_past_modulus_guard(self, phi_poly):
+        # one row per unit target: q is refused before V' is counted
+        with mock.patch.object(tuples, "count_v_prime", side_effect=AssertionError("counted")), \
+                pytest.raises(GuardExceededError, match="modulus guard"):
+            hypothesis_a_ratio(phi_poly, 1000003, 1)
 
     def test_r_bound_recorded(self, quad_poly):
         rep = hypothesis_a_ratio(quad_poly, 7, 3, method="character")
